@@ -35,10 +35,6 @@ def as_cmatrix(t) -> np.ndarray:
     return a
 
 
-def dagger(t: np.ndarray) -> np.ndarray:
-    return t.conj().T
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the row-major index convention
     (i1, i2) -> i1 * dim2 + i2."""
@@ -112,10 +108,6 @@ def trace_norm(t: np.ndarray) -> float:
         raise DimensionError(f"trace_norm expects a square matrix, got {t.shape}")
     w = np.linalg.eigvalsh(t.conj().T @ t)
     return float(np.sqrt(np.clip(w, 0.0, None)).sum())
-
-
-def frobenius(t: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(t)))
 
 
 def approx_eq(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,6 +47,9 @@ from .weyl import WeylSystem
 
 DEFAULT_SEED = 42
 DEFAULT_GATE = 1e-9
+# Largest dense Weyl system a --group may ask for: the U and V stacks take
+# 2 * 16 * n^3 bytes, the index, character and Fourier tables 40 * n^2.
+MAX_WEYL_BYTES = 1 << 30
 
 
 class _InputError(Exception):
@@ -110,9 +114,35 @@ def _load_instrument(path: str):
 
 def _parse_group(spec: str) -> Group:
     try:
-        return Group.from_spec(spec)
+        group = Group.from_spec(spec)
     except GroupError as exc:
         raise _InputError(str(exc)) from exc
+    n = group.order
+    need = 32 * n**3 + 40 * n**2
+    if need > MAX_WEYL_BYTES:
+        raise _InputError(
+            f"group {spec} of order {n} needs about {need / 2**30:.1f} GiB "
+            f"of dense Weyl operators; the limit is {MAX_WEYL_BYTES / 2**30:.0f} GiB"
+        )
+    return group
+
+
+def _gate(args) -> float:
+    """The residual gate: --tol if given, else the default."""
+    return DEFAULT_GATE if args.tol is None else args.tol
+
+
+def _check_tol(args) -> None:
+    """Reject a --tol that cannot gate anything or that the command ignores."""
+    if args.tol is None:
+        return
+    if args.command == "verify":
+        raise _InputError(
+            "verify does not take --tol: each suite gates every residual "
+            "with its own tolerance"
+        )
+    if not math.isfinite(args.tol) or args.tol < 0:
+        raise _InputError(f"--tol must be finite and non-negative, got {args.tol}")
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -147,11 +177,10 @@ def cmd_sequential_run(args) -> int:
         )
     ws = WeylSystem(mm.group)
     result = run_sequential(ws, mm)
-    instr = covariant_instrument(ws, mm)
-    gate = args.tol if args.tol is not None else DEFAULT_GATE
+    gate = _gate(args)
 
     residuals = {
-        "covariance": verify_covariance(ws, instr),
+        "covariance": result.covariance_defect,
         "joint_vs_cpso": cpso_defect(ws, result),
         "marginal_a_vs_smear": float(
             np.abs(
@@ -168,7 +197,6 @@ def cmd_sequential_run(args) -> int:
     }
     report = {
         "command": "sequential run",
-        "seed": args.seed,
         "tolerance": gate,
         "group": mm.group.to_json(),
         "sigma": _prob_to_json(result.sigma),
@@ -210,7 +238,7 @@ def _write_dist_csv(path: Path, pv) -> None:
 
 
 def cmd_instrument(args) -> int:
-    gate = args.tol if args.tol is not None else DEFAULT_GATE
+    gate = _gate(args)
     if args.subcmd == "build":
         mm = _load_measure(args.measure)
         ws = WeylSystem(mm.group)
@@ -352,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--group", default=None, help="group spec like 2 or 2x3 (default 2 where one is needed)")
     common.add_argument("--tol", type=float, default=None,
-                        help="residual gate (default 1e-9)")
+                        help="residual gate, finite and >= 0 (default 1e-9; "
+                        "verify gates each residual itself and refuses it)")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common.add_argument("--out", default=None, help="write JSON here, not stdout")
 
@@ -411,6 +440,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_tol(args)
         return args.func(args)
     except _InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

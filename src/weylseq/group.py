@@ -144,6 +144,11 @@ class Group:
         return out
 
     @cached_property
+    def sub_table(self) -> np.ndarray:
+        """table[i, j] = index(x_i - x_j)."""
+        return self.add_table[:, self.neg_table]
+
+    @cached_property
     def neg_table(self) -> np.ndarray:
         """table[i] = index(-x_i)."""
         return np.array([self._index[self.neg(x)] for x in self.elements],

@@ -24,6 +24,16 @@ and sum_x tr m(x) = 1:
     I_k(rho) = sum_y U_y^dag Phi^{M'(y)}_k(rho) U_y,
     M'(y) = U_y^dag m(y) U_y.
 
+L and the readout are permutations, so summing over y leaves one term
+per Choi entry, and `covariant_instrument` fills the stack in O(n^5):
+
+    Choi_k[a, i, b, j] = delta(i - a = j - b) m(i - a)[k - a, k - b].
+
+A translation shifts k with every index; a modulation multiplies an
+entry by chi(a - i - b + j), which is 1 on the support i - a = j - b.
+So the closed form is exactly covariant, and `verify_covariance` checks
+these two properties on any instrument in O(n^6).
+
 `reconstruct_measure` inverts this parametrization from the instrument's
 action alone, by expanding over the orthogonal operator basis
 {V_gamma U_y} (tr[(V_g U_y)^dag V_g' U_y'] = n delta delta).
@@ -36,10 +46,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import is_psd, kron
+from .algebra import is_psd, matrix_from_json, matrix_to_json
 from .errors import DimensionError, InvalidMeasureError, NotCovariantError
 from .group import Group
-from .observables import Povm
+from .observables import Povm, ensure_state
 from .weyl import WeylSystem
 
 COVARIANCE_GATE = 1e-6
@@ -242,52 +252,32 @@ def coupling_unitary(ws: WeylSystem) -> np.ndarray:
     return out
 
 
-def _pointer_chois(ws: WeylSystem, probe: np.ndarray) -> np.ndarray:
-    """Choi stack of rho -> tr_2[(1 (x) A({k})) L (rho (x) probe) L^dag].
-
-    Linear in `probe`, which may be any matrix, not only a state. Returns
-    shape (n, n^2, n^2), one Choi matrix per pointer outcome k.
-    """
-    n = ws.dim
-    lr = coupling_unitary(ws).reshape(n, n, n, n).astype(complex)
-    # Phi_k(E_ij)[a, b] = sum_{c,e} L[(a,k),(i,c)] probe[c,e] conj(L[(b,k),(j,e)])
-    chois = np.einsum("akic,ce,bkje->kaibj", lr, probe, lr.conj(), optimize=True)
-    return chois.reshape(n, n * n, n * n)
-
-
 def standard_instrument(ws: WeylSystem, omega: np.ndarray) -> Instrument:
-    """Instrument of the position measurement model with probe state omega."""
-    from .observables import ensure_state
-
+    """Instrument of the position measurement model with probe state omega:
+    the covariant instrument of the point mass at zero, since M'(0) = omega."""
     omega = ensure_state(ws.require_dim(omega, "probe state"))
-    chois = _pointer_chois(ws, omega)
-    n = ws.dim
-    maps = tuple(CpMap(n, n, chois[k]) for k in range(n))
-    return Instrument(ws.group.elements, maps)
+    return covariant_instrument(
+        ws, CovariantMeasure.point_mass(ws, ws.group.zero(), omega)
+    )
 
 
 def covariant_instrument(ws: WeylSystem, mm: CovariantMeasure) -> Instrument:
     """Covariant instrument generated by an operator-valued measure.
 
     I_k(rho) = sum_y U_y^dag Phi^{M'(y)}_k(rho) U_y with
-    M'(y) = U_y^dag m(y) U_y; reduces to `standard_instrument` when mm is
-    a point mass at zero.
+    M'(y) = U_y^dag m(y) U_y, in the closed form of the module docstring
+    with the Hermitian parts of the densities.
     """
     if mm.group != ws.group:
         raise InvalidMeasureError("measure group does not match the Weyl system")
     n = ws.dim
-    eye = np.eye(n)
-    total = np.zeros((n, n * n, n * n), dtype=complex)
-    for y in range(n):
-        if float(np.abs(mm.m[y]).max()) == 0.0:
-            continue
-        uy = ws.translations[y]
-        mprime = uy.conj().T @ mm.m[y] @ uy
-        chois = _pointer_chois(ws, mprime)
-        rot = kron(uy.conj().T, eye)
-        total += rot @ chois @ rot.conj().T
-    total = (total + total.conj().transpose(0, 2, 1)) / 2
-    maps = tuple(CpMap(n, n, total[k]) for k in range(n))
+    add, sub = ws.group.add_table, ws.group.sub_table
+    herm = (mm.m + mm.m.conj().transpose(0, 2, 1)) / 2
+    k, a, b, y = np.ix_(*(np.arange(n),) * 4)
+    chois = np.zeros((n,) * 5, dtype=complex)
+    chois[k, a, add[a, y], b, add[b, y]] = herm[y, sub[k, a], sub[k, b]]
+    chois = chois.reshape(n, n * n, n * n)
+    maps = tuple(CpMap(n, n, chois[k]) for k in range(n))
     return Instrument(ws.group.elements, maps)
 
 
@@ -323,31 +313,49 @@ def _require_group_instrument(ws: WeylSystem, instr: Instrument) -> None:
 
 
 def verify_covariance(ws: WeylSystem, instr: Instrument) -> float:
-    """Largest covariance defect of an instrument over G:
+    """Largest covariance defect of an instrument over G, with W = U_x V_chi:
 
-        max_k,x,chi,(i,j) || I_{k+x}(E_ij)
-                             - W I_k(W^dag E_ij W) W^dag ||_F
+        max_k,x,chi,(i,j) || I_{k+x}(E_ij) - W I_k(W^dag E_ij W) W^dag ||_F
 
-    with W = U_x V_chi, evaluated at the Choi level where the sweep over
-    matrix units E_ij is a block-norm maximum.
+    Conjugation by W moves the Choi entries by x and multiplies them by
+    chi(a - i - b + j). With F[K, p, d, u, v] = C_K[K - p, K + u, K - q,
+    K + v], q = p + d + u - v, the phase is chi(d), the move is K -> K + x,
+    and block (k + x, i, j) is (K, u, v) = (k + x, i - K, j - K), whose
+    Frobenius norm is the one above. For A = F[K], T = F[K - x], all chi:
+
+        ||A - chi T||^2 = alpha^2 + sum_d |1 - chi(d)|^2 tau_d
+                                  + 2 Re sum_d (1 - chi(d)) g_d,
+
+    alpha^2 = ||A - T||^2, tau_d = ||T_d||^2, g_d = <A - T, T>_d (sums over
+    p in sector d): two products with the character table per x, O(n^6).
+
+    Rounding: a covariant instrument's mass lies in sector d = 0, where
+    1 - chi(0) is exactly 0, so it never enters and nothing cancels. The
+    terms that do enter are bounded by the block's own defect (alpha^2 is
+    the defect at the trivial character, the mass of T off d = 0 at most
+    the defect averaged over chi), so the error is O(n^2 eps) times the
+    block's largest squared defect. It is clamped at 0 before the root;
+    exactly covariant input gives exactly 0.
     """
     _require_group_instrument(ws, instr)
     n = ws.dim
-    chois = np.array([m.choi for m in instr.maps])
-    add = ws.group.add_table
-    res = 0.0
-    for i in range(n):
-        for j in range(n):
-            w = ws.translations[i] @ ws.modulations[j]
-            ww = kron(w, w.conj())
-            moved = np.einsum(
-                "ab,kbc,dc->kad", ww, chois, ww.conj(), optimize=True
-            )
-            diff = chois[add[i]] - moved
-            d4 = diff.reshape(n, n, n, n, n)  # [k, a, i, b, j]
-            norms = np.sqrt((np.abs(d4) ** 2).sum(axis=(1, 3)))
-            res = max(res, float(norms.max()))
-    return res
+    add, sub = ws.group.add_table, ws.group.sub_table
+    c5 = np.array([m.choi for m in instr.maps]).reshape((n,) * 5)
+    k, p, d, u, v = np.ix_(*(np.arange(n),) * 5)
+    q = add[add[p, d], sub[u, v]]
+    f = c5[k, sub[k, p], add[k, u], sub[k, q], add[k, v]]
+    tau = (np.abs(f) ** 2).sum(axis=1)  # [K, d, u, v]
+    one_minus = 1.0 - ws.group.character_table  # [chi, d]; column d = 0 is 0
+    worst = 0.0
+    for x in range(n):
+        t = f[sub[:, x]]
+        diff = f - t
+        alpha2 = (np.abs(diff) ** 2).sum(axis=(1, 2)).reshape(n, 1, n * n)
+        cross = np.einsum("kpduv,kpduv->kduv", diff.conj(), t).reshape(n, n, n * n)
+        spread = np.abs(one_minus) ** 2 @ tau[sub[:, x]].reshape(n, n, n * n)
+        sq = alpha2 + spread + 2.0 * (one_minus @ cross).real
+        worst = max(worst, float(sq.max()))
+    return float(np.sqrt(max(worst, 0.0)))
 
 
 # ==================== measure reconstruction ====================
@@ -426,8 +434,6 @@ def reconstruction_residual(
 
 
 def instrument_to_json(ws: WeylSystem, instr: Instrument) -> dict:
-    from .algebra import matrix_to_json
-
     _require_group_instrument(ws, instr)
     return {
         "group": ws.group.to_json(),
@@ -437,8 +443,6 @@ def instrument_to_json(ws: WeylSystem, instr: Instrument) -> dict:
 
 def instrument_from_json(obj: dict):
     """Returns (group, instrument); outcomes are the group elements."""
-    from .algebra import matrix_from_json
-
     try:
         group = Group.from_json(obj["group"])
         chois = [matrix_from_json(m["choi"]) for m in obj["maps"]]
@@ -452,8 +456,6 @@ def instrument_from_json(obj: dict):
 
 
 def measure_to_json(mm: CovariantMeasure) -> dict:
-    from .algebra import matrix_to_json
-
     return {
         "group": mm.group.to_json(),
         "m": [matrix_to_json(mx) for mx in mm.m],
@@ -461,8 +463,6 @@ def measure_to_json(mm: CovariantMeasure) -> dict:
 
 
 def measure_from_json(obj: dict) -> CovariantMeasure:
-    from .algebra import matrix_from_json
-
     try:
         group = Group.from_json(obj["group"])
         stacks = [matrix_from_json(mx) for mx in obj["m"]]

@@ -48,13 +48,16 @@ class SequentialResult:
     sigma: ProbVector
     tau: ProbVector
     generating_state: np.ndarray
+    covariance_defect: float  # verify_covariance of the instrument
 
 
-def joint_observable(ws: WeylSystem, instr: Instrument) -> Povm:
+def joint_observable(ws: WeylSystem, instr: Instrument, with_defect: bool = False):
     """Joint phase-space observable of instrument-then-sharp-momentum.
 
     Outcomes are (x, chi) pairs, x-major. Raises NotCovariantError when
-    the instrument's covariance defect exceeds 1e-6.
+    the instrument's covariance defect exceeds 1e-6. With `with_defect`,
+    returns (observable, defect) so the caller can report the defect
+    without checking the instrument twice.
     """
     defect = verify_covariance(ws, instr)
     if defect > COVARIANCE_GATE:
@@ -62,11 +65,13 @@ def joint_observable(ws: WeylSystem, instr: Instrument) -> Povm:
             f"covariance defect {defect:.3e} exceeds {COVARIANCE_GATE}"
         )
     n = ws.dim
-    effects = np.empty((n * n, n, n), dtype=complex)
-    for x in range(n):
-        for c in range(n):
-            effects[x * n + c] = instr.maps[x].dual_apply(ws.momentum_effects[c])
-    return Povm(ws.phase_points, effects)
+    chois = np.array([m.choi for m in instr.maps]).reshape((n,) * 5)
+    # effect(x, chi)[j, i] = sum_{a,b} Choi_x[a, i, b, j] B({chi})[b, a];
+    # C order keeps the sums over the effects, and so the reports, bitwise
+    # as they were with one dual_apply per outcome
+    effects = np.einsum("xaibj,cba->xcji", chois, ws.momentum_effects, order="C")
+    joint = Povm(ws.phase_points, effects.reshape(n * n, n, n))
+    return (joint, defect) if with_defect else joint
 
 
 def translated_total_density(ws: WeylSystem, mm: CovariantMeasure) -> np.ndarray:
@@ -116,14 +121,14 @@ def sequential_from_cpso(ws: WeylSystem, s: np.ndarray):
 def run_sequential(ws: WeylSystem, mm: CovariantMeasure) -> SequentialResult:
     """Full sequential-measurement summary for a covariant measure."""
     instr = covariant_instrument(ws, mm)
-    joint = joint_observable(ws, instr)
+    joint, defect = joint_observable(ws, instr, with_defect=True)
     n = ws.dim
     stack = joint.effects.reshape(n, n, n, n)
     marginal_a = Povm(ws.group.elements, stack.sum(axis=1))
     marginal_b = Povm(ws.group.elements, stack.sum(axis=0))
     sigma, tau = noise_measures(ws, mm)
     state = generating_state(ws, mm)
-    return SequentialResult(joint, marginal_a, marginal_b, sigma, tau, state)
+    return SequentialResult(joint, marginal_a, marginal_b, sigma, tau, state, defect)
 
 
 def cpso_defect(ws: WeylSystem, result: SequentialResult) -> float:

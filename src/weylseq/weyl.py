@@ -134,9 +134,6 @@ class WeylSystem:
         elems = self._elements
         return tuple((x, chi) for x in elems for chi in elems)
 
-    def phase_index(self, x: Element, chi: Element) -> int:
-        return self.group.index(x) * self.dim + self.group.index(chi)
-
     def require_dim(self, t: np.ndarray, what: str = "matrix") -> np.ndarray:
         t = np.asarray(t, dtype=complex)
         if t.shape != (self.dim, self.dim):

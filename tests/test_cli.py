@@ -1,10 +1,15 @@
 """End-to-end CLI tests: exit codes, report shape, determinism, CSV export."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weylseq
 from weylseq import (
     CovariantMeasure,
     Group,
@@ -264,3 +269,72 @@ def test_dump_weyl(capsys):
     got = np.array([complex(re, im) for re, im in u1["data"]]).reshape(3, 3)
     want = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
     assert np.array_equal(got, want)
+
+
+def test_sequential_run_reports_the_single_covariance_check(measure_file, capsys):
+    assert main(["sequential", "run", "--measure", measure_file]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "seed" not in report
+    # a closed-form instrument is exactly covariant
+    assert report["residuals"]["covariance"] == 0.0
+
+
+# ==================== rejected input, exit 1 ====================
+
+
+def run_cli(*args):
+    """The CLI as its own process, so that a traceback would reach stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(weylseq.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "weylseq.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.fixture
+def instrument_file(measure_file, tmp_path):
+    out = str(tmp_path / "instr.json")
+    assert main(["instrument", "build", "--measure", measure_file, "--out", out]) == 0
+    return out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+def test_tol_must_be_finite_and_non_negative(measure_file, instrument_file, tol, capsys):
+    for argv in (["sequential", "run", "--measure", measure_file],
+                 ["instrument", "verify", "--in", instrument_file]):
+        assert main(argv + [f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol must be finite and non-negative" in captured.err
+
+
+def test_tol_nan_exits_1_without_traceback(measure_file):
+    proc = run_cli("sequential", "run", "--measure", measure_file, "--tol", "nan")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: --tol")
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_rejects_tol(capsys):
+    assert main(["verify", "--suite", "weyl", "--tol", "1e-9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "own tolerance" in captured.err
+
+
+def test_zero_tol_is_a_gate(instrument_file):
+    # 0 is a valid gate, and the closed-form instrument meets it exactly
+    assert main(["instrument", "verify", "--in", instrument_file, "--tol", "0"]) == 0
+
+
+def test_oversize_group_exits_1_without_traceback():
+    proc = run_cli("dump-weyl", "--group", "100000")
+    assert proc.returncode == 1
+    assert "GiB of dense Weyl operators" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "weyl"],
+                                  ["cpso", "--state", "unused.json"]])
+def test_oversize_group_rejected_before_any_work(argv, capsys):
+    assert main(argv + ["--group", "400x400"]) == 1
+    assert "GiB of dense Weyl operators" in capsys.readouterr().err

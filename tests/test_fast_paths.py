@@ -1,0 +1,125 @@
+"""The closed-form instrument, the sector-expanded covariance defect and the
+stacked joint observable against the dense constructions in `oracles`."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weylseq import (
+    CpMap,
+    Group,
+    Instrument,
+    WeylSystem,
+    covariant_instrument,
+    joint_observable,
+    verify_covariance,
+)
+from weylseq import rand
+from oracles import dense_covariance_defect, dense_covariant_chois, dense_joint_effects
+
+LADDER = [(2,), (3,), (2, 2), (5,), (2, 3), (8,), (2, 2, 2), (3, 3), (10,), (12,),
+          (2, 6), (2, 2, 3)]
+ORDER_LE_8 = [m for m in LADDER if np.prod(m) <= 8]
+
+
+def chois_of(instr):
+    return np.array([m.choi for m in instr.maps])
+
+
+def random_instrument_chois(rng, n, kraus_per_outcome=2):
+    """Choi stack of a random instrument: Kraus operators cut from one
+    random isometry C^n -> C^(n * r * n)."""
+    q, _ = np.linalg.qr(rand.complex_matrix(rng, n * kraus_per_outcome * n, n))
+    vecs = q.reshape(n, kraus_per_outcome, n * n)  # [k, s, (a, i)]
+    return np.einsum("ksa,ksb->kab", vecs, vecs.conj())
+
+
+def translation_twirl(ws, chois):
+    """(1/n) sum_y U_y I_{k-y}(U_y^dag . U_y) U_y^dag: covariant under
+    translations, not under modulations."""
+    n = ws.dim
+    sub = ws.group.sub_table
+    c5 = chois.reshape((n,) * 5)
+    out = np.zeros_like(c5)
+    for y in range(n):
+        s = sub[:, y]
+        out += c5[np.ix_(s, s, s, s, s)]
+    return out.reshape(chois.shape) / n
+
+
+def modulation_twirl(ws, chois):
+    """(1/n) sum_chi V_chi I_k(V_chi^dag . V_chi) V_chi^dag, which keeps the
+    entries with a - i - b + j = 0: covariant under modulations only."""
+    n = ws.dim
+    sub = ws.group.sub_table
+    a, i, b, j = np.ix_(*(np.arange(n),) * 4)
+    keep = sub[sub[a, i], sub[b, j]] == 0
+    return (chois.reshape((n,) * 5) * keep).reshape(chois.shape)
+
+
+PERTURBATIONS = {
+    "random": lambda ws, c: c,
+    "modulation_violation": translation_twirl,
+    "translation_violation": modulation_twirl,
+}
+
+
+def perturbed(ws, rng, kind, eps):
+    """A covariant instrument mixed with weight eps into a perturbation."""
+    n = ws.dim
+    base = chois_of(covariant_instrument(ws, rand.covariant_measure(rng, ws.group)))
+    other = PERTURBATIONS[kind](ws, random_instrument_chois(rng, n))
+    mix = (1 - eps) * base + eps * other
+    return Instrument(ws.group.elements, tuple(CpMap(n, n, c) for c in mix)), mix
+
+
+@pytest.mark.parametrize("moduli", LADDER)
+def test_closed_form_choi_matches_dense_oracle(moduli, rng):
+    ws = WeylSystem(Group(moduli))
+    mm = rand.covariant_measure(rng, ws.group)
+    instr = covariant_instrument(ws, mm)
+    assert np.abs(chois_of(instr) - dense_covariant_chois(ws, mm)).max() <= 1e-15
+    assert verify_covariance(ws, instr) == 0.0
+
+
+@pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
+@pytest.mark.parametrize("moduli", ORDER_LE_8)
+def test_sector_defect_matches_dense_oracle(moduli, kind, rng):
+    ws = WeylSystem(Group(moduli))
+    instr, mix = perturbed(ws, rng, kind, 1e-3)
+    want = dense_covariance_defect(ws, mix)
+    assert want > 1e-5
+    assert abs(verify_covariance(ws, instr) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("moduli", ORDER_LE_8)
+def test_joint_observable_matches_dual_map_oracle(moduli, rng):
+    ws = WeylSystem(Group(moduli))
+    instr = covariant_instrument(ws, rand.covariant_measure(rng, ws.group))
+    assert np.array_equal(joint_observable(ws, instr).effects,
+                          dense_joint_effects(ws, instr))
+
+
+SMALL_GROUPS = st.sampled_from([(2,), (3,), (4,), (2, 2), (5,), (6,), (2, 3)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    moduli=SMALL_GROUPS,
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(PERTURBATIONS)),
+    log_eps=st.floats(-12.0, -1.0),
+)
+def test_sector_defect_property(moduli, seed, kind, log_eps):
+    ws = WeylSystem(Group(moduli))
+    rng = np.random.default_rng(seed)
+    mm = rand.covariant_measure(rng, ws.group)
+    exact = covariant_instrument(ws, mm)
+    assert np.abs(chois_of(exact) - dense_covariant_chois(ws, mm)).max() <= 1e-15
+    assert verify_covariance(ws, exact) == 0.0
+
+    instr, mix = perturbed(ws, rng, kind, 10.0**log_eps)
+    want = dense_covariance_defect(ws, mix)
+    # 1e-15 absolute: the dense oracle's own rounding floor
+    assert abs(verify_covariance(ws, instr) - want) <= 1e-12 * want + 1e-15

@@ -22,6 +22,7 @@ from weylseq import (
     smear_position,
     standard_instrument,
     trace_norm,
+    verify_covariance,
     verify_cpso_covariance,
 )
 from weylseq import rand
@@ -113,6 +114,24 @@ def test_joint_observable_rejects_non_covariant(ws2):
     hybrid = Instrument(i1.outcomes, (i1.maps[0], i2.maps[1]))
     with pytest.raises(NotCovariantError):
         joint_observable(ws2, hybrid)
+
+
+def test_joint_observable_reports_the_defect_it_gated(ws2):
+    # probes differing by 1e-8 off the diagonal: a defect under the gate
+    om1 = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
+    om2 = om1 + np.array([[0.0, 1e-8], [1e-8, 0.0]])
+    i1 = standard_instrument(ws2, om1)
+    i2 = standard_instrument(ws2, om2)
+    hybrid = Instrument(i1.outcomes, (i1.maps[0], i2.maps[1]))
+    joint, defect = joint_observable(ws2, hybrid, with_defect=True)
+    assert defect == verify_covariance(ws2, hybrid)
+    assert 1e-9 < defect < 1e-7
+    assert np.array_equal(joint.effects, joint_observable(ws2, hybrid).effects)
+
+
+def test_run_sequential_records_covariance_defect(ws3, rng):
+    result = run_sequential(ws3, rand.covariant_measure(rng, ws3.group))
+    assert result.covariance_defect == 0.0
 
 
 @pytest.mark.parametrize("moduli", [(2,), (3,), (2, 2)])

@@ -95,7 +95,8 @@ def hermitian_eig(t: np.ndarray, tol: Tolerance = DEFAULT_TOL):
 def is_psd(t: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Positive semidefiniteness, allowing eigenvalues down to
     -abs_eps * (1 + max|t|). Raises HermiticityError for non-Hermitian input."""
-    w, _ = hermitian_eig(t, tol)
+    t = require_hermitian(t, tol)
+    w = np.linalg.eigvalsh((t + t.conj().T) / 2.0)
     floor = -tol.abs_eps * (1.0 + float(np.abs(t).max(initial=0.0)))
     return bool(w.min(initial=0.0) >= floor)
 

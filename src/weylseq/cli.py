@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 I/O or parse error, 2 invariant failure
-(invalid measure or state, residual beyond tolerance). Reports are JSON
+Exit codes: 0 success, 1 usage, I/O or parse error, 2 invariant failure
+(invalid measure or state, residual beyond tolerance). Each command
+accepts only the options it reads. Reports are JSON
 with a fixed field order and shortest round-trip float formatting, so
 identical inputs produce byte-identical output.
 """
@@ -22,6 +23,7 @@ from .algebra import matrix_from_json, matrix_to_json
 from .errors import GroupError, WeylseqError
 from .group import Group
 from .instruments import (
+    COVARIANCE_GATE,
     covariant_instrument,
     instrument_from_json,
     instrument_to_json,
@@ -92,24 +94,16 @@ def _load_state(path: str) -> np.ndarray:
         raise _InvariantError(f"state in {path} is invalid: {exc}") from exc
 
 
-def _load_measure(path: str):
+def _load_object(path: str, what: str, from_json):
+    """Decode a measure or an instrument: an invalid object exits 2, a
+    malformed file 1."""
     obj = _load_json(path)
     try:
-        return measure_from_json(obj)
+        return from_json(obj)
     except WeylseqError as exc:
-        raise _InvariantError(f"measure in {path}: {exc}") from exc
+        raise _InvariantError(f"{what} in {path}: {exc}") from exc
     except (ValueError, TypeError, KeyError) as exc:
-        raise _InputError(f"bad measure in {path}: {exc}") from exc
-
-
-def _load_instrument(path: str):
-    obj = _load_json(path)
-    try:
-        return instrument_from_json(obj)
-    except WeylseqError as exc:
-        raise _InvariantError(f"instrument in {path}: {exc}") from exc
-    except (ValueError, TypeError, KeyError) as exc:
-        raise _InputError(f"bad instrument in {path}: {exc}") from exc
+        raise _InputError(f"bad {what} in {path}: {exc}") from exc
 
 
 def _parse_group(spec: str) -> Group:
@@ -127,30 +121,22 @@ def _parse_group(spec: str) -> Group:
     return group
 
 
-def _gate(args) -> float:
-    """The residual gate: --tol if given, else the default."""
-    return DEFAULT_GATE if args.tol is None else args.tol
-
-
 def _check_tol(args) -> None:
-    """Reject a --tol that cannot gate anything or that the command ignores."""
-    if args.tol is None:
-        return
-    if args.command == "verify":
-        raise _InputError(
-            "verify does not take --tol: each suite gates every residual "
-            "with its own tolerance"
-        )
-    if not math.isfinite(args.tol) or args.tol < 0:
-        raise _InputError(f"--tol must be finite and non-negative, got {args.tol}")
+    """Reject a --tol that cannot gate anything."""
+    tol = getattr(args, "tol", DEFAULT_GATE)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise _InputError(f"--tol must be finite and non-negative, got {tol}")
 
 
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {out}: {exc}") from exc
 
 
 def _prob_to_json(pv) -> dict:
@@ -170,14 +156,13 @@ def _label_text(label) -> str:
 
 
 def cmd_sequential_run(args) -> int:
-    mm = _load_measure(args.measure)
+    mm = _load_object(args.measure, "measure", measure_from_json)
     if args.group and _parse_group(args.group) != mm.group:
         raise _InputError(
             f"--group {args.group} does not match the measure's group"
         )
     ws = WeylSystem(mm.group)
     result = run_sequential(ws, mm)
-    gate = _gate(args)
 
     residuals = {
         "covariance": result.covariance_defect,
@@ -197,7 +182,7 @@ def cmd_sequential_run(args) -> int:
     }
     report = {
         "command": "sequential run",
-        "tolerance": gate,
+        "tolerance": args.tol,
         "group": mm.group.to_json(),
         "sigma": _prob_to_json(result.sigma),
         "tau": _prob_to_json(result.tau),
@@ -207,68 +192,71 @@ def cmd_sequential_run(args) -> int:
         "marginal_b": povm_to_json(result.marginal_b),
         "residuals": residuals,
     }
+    # CSV files first, so that a CSV directory that cannot be written
+    # leaves stdout empty
+    if args.csv:
+        try:
+            _export_csv(Path(args.csv), result, args.state)
+        except OSError as exc:
+            raise _InputError(f"cannot write CSV files to {args.csv}: {exc}") from exc
     _emit(report, args.out)
 
-    if args.csv:
-        csv_dir = Path(args.csv)
-        csv_dir.mkdir(parents=True, exist_ok=True)
-        _write_dist_csv(csv_dir / "sigma.csv", result.sigma)
-        _write_dist_csv(csv_dir / "tau.csv", result.tau)
-        if args.state:
-            rho = _load_state(args.state)
-            joint_dist = measure(result.joint, rho)
-            with open(csv_dir / "joint.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["position", "momentum", "probability"])
-                for (x, chi), w in zip(joint_dist.outcomes, joint_dist.weights):
-                    writer.writerow([_label_text(x), _label_text(chi), repr(float(w))])
-
     worst = max(residuals.values())
-    if worst > gate:
-        raise _InvariantError(f"residual {worst:.3e} beyond tolerance {gate}")
+    if worst > args.tol:
+        raise _InvariantError(f"residual {worst:.3e} beyond tolerance {args.tol}")
     return 0
 
 
-def _write_dist_csv(path: Path, pv) -> None:
+def _export_csv(csv_dir: Path, result, state: str | None) -> None:
+    csv_dir.mkdir(parents=True, exist_ok=True)
+    for name, pv in (("sigma", result.sigma), ("tau", result.tau)):
+        _write_csv(csv_dir / f"{name}.csv", ["outcome", "probability"],
+                   ([_label_text(o), repr(float(w))] for o, w in zip(pv.outcomes, pv.weights)))
+    if state:
+        dist = measure(result.joint, _load_state(state))
+        _write_csv(csv_dir / "joint.csv", ["position", "momentum", "probability"],
+                   ([_label_text(x), _label_text(chi), repr(float(w))]
+                    for (x, chi), w in zip(dist.outcomes, dist.weights)))
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["outcome", "probability"])
-        for o, w in zip(pv.outcomes, pv.weights):
-            writer.writerow([_label_text(o), repr(float(w))])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def cmd_instrument(args) -> int:
-    gate = _gate(args)
-    if args.subcmd == "build":
-        mm = _load_measure(args.measure)
-        ws = WeylSystem(mm.group)
-        instr = covariant_instrument(ws, mm)
-        _emit(instrument_to_json(ws, instr), args.out)
-        return 0
-    group, instr = _load_instrument(args.infile)
-    ws = WeylSystem(group)
-    if args.subcmd == "verify":
-        defect = verify_covariance(ws, instr)
-        _emit(
-            {
-                "command": "instrument verify",
-                "group": group.to_json(),
-                "covariance_residual": defect,
-                "tolerance": gate,
-                "pass": bool(defect <= gate),
-            },
-            args.out,
+def cmd_instrument_build(args) -> int:
+    mm = _load_object(args.measure, "measure", measure_from_json)
+    ws = WeylSystem(mm.group)
+    _emit(instrument_to_json(ws, covariant_instrument(ws, mm)), args.out)
+    return 0
+
+
+def cmd_instrument_verify(args) -> int:
+    group, instr = _load_object(args.infile, "instrument", instrument_from_json)
+    defect = verify_covariance(WeylSystem(group), instr)
+    _emit(
+        {
+            "command": "instrument verify",
+            "group": group.to_json(),
+            "covariance_residual": defect,
+            "tolerance": args.tol,
+            "pass": bool(defect <= args.tol),
+        },
+        args.out,
+    )
+    if defect > args.tol:
+        raise _InvariantError(
+            f"covariance residual {defect:.3e} beyond tolerance {args.tol}"
         )
-        if defect > gate:
-            raise _InvariantError(
-                f"covariance residual {defect:.3e} beyond tolerance {gate}"
-            )
-        return 0
-    if args.subcmd == "reconstruct":
-        mm = reconstruct_measure(ws, instr)
-        _emit(measure_to_json(mm), args.out)
-        return 0
-    raise _InputError(f"unknown instrument subcommand {args.subcmd!r}")
+    return 0
+
+
+def cmd_instrument_reconstruct(args) -> int:
+    group, instr = _load_object(args.infile, "instrument", instrument_from_json)
+    _emit(measure_to_json(reconstruct_measure(WeylSystem(group), instr)), args.out)
+    return 0
 
 
 def cmd_cpso(args) -> int:
@@ -376,79 +364,80 @@ def cmd_dump_weyl(args) -> int:
 # ==================== parser ====================
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--group", default=None, help="group spec like 2 or 2x3 (default 2 where one is needed)")
-    common.add_argument("--tol", type=float, default=None,
-                        help="residual gate, finite and >= 0 (default 1e-9; "
-                        "verify gates each residual itself and refuses it)")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--out", default=None, help="write JSON here, not stdout")
+class _Parser(argparse.ArgumentParser):
+    """Sends usage errors down the exit-1 path; --help still exits 0."""
 
-    parser = argparse.ArgumentParser(
+    def error(self, message):
+        raise _InputError(f"{self.prog}: {message}")
+
+
+_SHARED_OPTIONS = {
+    "--group": dict(help="group spec like 2 or 2x3 (default 2 where one is needed)"),
+    "--tol": dict(type=float, default=DEFAULT_GATE,
+                  help="residual gate, finite and >= 0 (default %(default)g)"),
+    "--seed": dict(type=int, default=DEFAULT_SEED),
+    "--out": dict(help="write JSON here, not stdout"),
+}
+
+
+def _leaf(sub, name: str, func, *shared: str) -> argparse.ArgumentParser:
+    """A command parser with the named shared options; the caller adds the
+    command's own."""
+    p = sub.add_parser(name)
+    for flag in shared:
+        p.add_argument(flag, **_SHARED_OPTIONS[flag])
+    p.set_defaults(func=func)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="weylseq",
         description="Sequential measurements of conjugate observables "
         "on finite abelian groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_seq = sub.add_parser("sequential")
-    seq_sub = p_seq.add_subparsers(dest="subcmd", required=True)
-    p_run = seq_sub.add_parser("run", parents=[common])
+    seq_sub = sub.add_parser("sequential").add_subparsers(dest="subcmd", required=True)
+    p_run = _leaf(seq_sub, "run", cmd_sequential_run, "--group", "--tol", "--out")
     p_run.add_argument("--measure", required=True, help="measure JSON file")
     p_run.add_argument("--state", default=None, help="input state JSON file")
     p_run.add_argument("--csv", default=None,
                        help="directory for sigma/tau/joint CSV export")
-    p_run.set_defaults(func=cmd_sequential_run)
 
-    p_ins = sub.add_parser("instrument")
-    ins_sub = p_ins.add_subparsers(dest="subcmd", required=True)
-    p_build = ins_sub.add_parser("build", parents=[common])
-    p_build.add_argument("--measure", required=True)
-    p_build.set_defaults(func=cmd_instrument)
-    p_iverify = ins_sub.add_parser("verify", parents=[common])
-    p_iverify.add_argument("--in", dest="infile", required=True)
-    p_iverify.set_defaults(func=cmd_instrument)
-    p_irec = ins_sub.add_parser("reconstruct", parents=[common])
-    p_irec.add_argument("--in", dest="infile", required=True)
-    p_irec.set_defaults(func=cmd_instrument)
+    ins_sub = sub.add_parser("instrument").add_subparsers(dest="subcmd", required=True)
+    _leaf(ins_sub, "build", cmd_instrument_build, "--out").add_argument(
+        "--measure", required=True)
+    _leaf(ins_sub, "verify", cmd_instrument_verify, "--tol", "--out").add_argument(
+        "--in", dest="infile", required=True)
+    _leaf(ins_sub, "reconstruct", cmd_instrument_reconstruct, "--out").add_argument(
+        "--in", dest="infile", required=True,
+        help=f"instrument JSON file, checked for covariance at {COVARIANCE_GATE:g}")
 
-    p_cpso = sub.add_parser("cpso", parents=[common])
+    p_cpso = _leaf(sub, "cpso", cmd_cpso, "--group", "--out")
     p_cpso.add_argument("--state", required=True)
     p_cpso.add_argument("--check-ic", action="store_true")
-    p_cpso.set_defaults(func=cmd_cpso)
 
-    p_demo = sub.add_parser("demo")
-    demo_sub = p_demo.add_subparsers(dest="subcmd", required=True)
-    p_spin = demo_sub.add_parser("spin", parents=[common])
+    demo_sub = sub.add_parser("demo").add_subparsers(dest="subcmd", required=True)
+    p_spin = _leaf(demo_sub, "spin", cmd_demo_spin, "--seed", "--out")
     p_spin.add_argument("--a", default="0,0,1")
     p_spin.add_argument("--b", default="1,0,0")
     p_spin.add_argument("--probe", default=None)
-    p_spin.set_defaults(func=cmd_demo_spin)
 
-    p_verify = sub.add_parser("verify", parents=[common])
-    p_verify.add_argument("--suite", required=True)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_dump = sub.add_parser("dump-weyl", parents=[common])
-    p_dump.set_defaults(func=cmd_dump_weyl)
-
+    _leaf(sub, "verify", cmd_verify, "--group", "--seed").add_argument("--suite", required=True)
+    _leaf(sub, "dump-weyl", cmd_dump_weyl, "--group", "--out")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_tol(args)
         return args.func(args)
     except _InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except _InvariantError as exc:
-        sys.stderr.write(f"invariant failure: {exc}\n")
-        return 2
-    except WeylseqError as exc:
+    except (_InvariantError, WeylseqError) as exc:
         sys.stderr.write(f"invariant failure: {exc}\n")
         return 2
 

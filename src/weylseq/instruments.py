@@ -53,6 +53,7 @@ from .observables import Povm, ensure_state
 from .weyl import WeylSystem
 
 COVARIANCE_GATE = 1e-6
+KRAUS_CUTOFF = 1e-12  # relative Choi eigenvalue cutoff of CpMap.kraus
 
 
 @dataclass
@@ -93,7 +94,7 @@ class CpMap:
     # ---------- construction ----------
 
     @classmethod
-    def from_kraus(cls, kraus, dim_in: int | None = None) -> "CpMap":
+    def from_kraus(cls, kraus) -> "CpMap":
         """Build from Kraus operators: choi = sum vec(K) vec(K)^dag."""
         ks = [np.asarray(k, dtype=complex) for k in kraus]
         if not ks:
@@ -107,13 +108,13 @@ class CpMap:
     def identity(cls, dim: int) -> "CpMap":
         return cls.from_kraus([np.eye(dim)])
 
-    def kraus(self, cutoff: float = 1e-12) -> list:
+    def kraus(self) -> list:
         """Kraus operators from the Choi eigendecomposition."""
         w, q = np.linalg.eigh((self.choi + self.choi.conj().T) / 2)
         out = []
         top = w.max(initial=0.0)
         for val, vec in zip(w, q.T):
-            if val > cutoff * max(top, 1.0):
+            if val > KRAUS_CUTOFF * max(top, 1.0):
                 out.append(np.sqrt(val) * vec.reshape(self.dim_out, self.dim_in))
         return out
 

@@ -22,6 +22,7 @@ from .errors import DimensionError
 from .weyl import WeylSystem
 
 PROB_FLOOR = -1e-12
+SPAN_REL_CUTOFF = 1e-8  # relative singular-value cutoff of effect_span_dimension
 
 
 @dataclass
@@ -125,7 +126,7 @@ def smear_position(ws: WeylSystem, sigma: ProbVector) -> Povm:
     n = ws.dim
     effects = np.zeros((n, n, n), dtype=complex)
     diag = np.arange(n)
-    sub = g.add_table[:, g.neg_table]  # sub[k, y] = index(x_k - x_y)
+    sub = g.sub_table  # sub[k, y] = index(x_k - x_y)
     for k in range(n):
         effects[k, diag, diag] = w[sub[k]]
     return Povm(g.elements, effects)
@@ -136,8 +137,7 @@ def smear_momentum(ws: WeylSystem, tau: ProbVector) -> Povm:
     effect(chi) = sum_gamma tau(chi - gamma) B({gamma})."""
     w = _group_distribution(ws, tau, "tau")
     g = ws.group
-    sub = g.add_table[:, g.neg_table]
-    coeff = w[sub]  # coeff[k, gamma] = tau(chi_k - gamma)
+    coeff = w[g.sub_table]  # coeff[k, gamma] = tau(chi_k - gamma)
     effects = np.einsum("kc,cab->kab", coeff, ws.momentum_effects)
     return Povm(g.elements, effects)
 
@@ -158,11 +158,11 @@ def cpso_from_state(ws: WeylSystem, s: np.ndarray) -> Povm:
     return Povm(ws.phase_points, effects)
 
 
-def effect_span_dimension(povm: Povm, rel_cutoff: float = 1e-8) -> int:
+def effect_span_dimension(povm: Povm) -> int:
     """Real-linear dimension of the span of the effects.
 
     Effects are vectorized into rows [Re, Im] and singular values below
-    rel_cutoff * s_max are discarded.
+    SPAN_REL_CUTOFF * s_max are discarded.
     """
     k, n = povm.effects.shape[0], povm.dim
     flat = povm.effects.reshape(k, n * n)
@@ -170,12 +170,12 @@ def effect_span_dimension(povm: Povm, rel_cutoff: float = 1e-8) -> int:
     s = np.linalg.svd(stacked, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_cutoff * s[0]))
+    return int(np.count_nonzero(s > SPAN_REL_CUTOFF * s[0]))
 
 
-def is_informationally_complete(povm: Povm, rel_cutoff: float = 1e-8) -> bool:
+def is_informationally_complete(povm: Povm) -> bool:
     """Whether the effects span the whole n^2-dimensional operator space."""
-    return effect_span_dimension(povm, rel_cutoff) == povm.dim ** 2
+    return effect_span_dimension(povm) == povm.dim ** 2
 
 
 def verify_cpso_covariance(ws: WeylSystem, povm: Povm) -> float:

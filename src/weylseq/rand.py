@@ -8,9 +8,8 @@ from .group import Group
 from .instruments import CovariantMeasure
 
 
-def complex_matrix(rng: np.random.Generator, n: int, m: int | None = None):
-    m = n if m is None else m
-    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+def complex_matrix(rng: np.random.Generator, n: int):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 def hermitian(rng: np.random.Generator, n: int) -> np.ndarray:

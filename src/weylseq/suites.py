@@ -28,6 +28,8 @@ from .spin import SpinFrame, kronecker_factorization_check, tradeoff_check
 from .weyl import WeylSystem, snag_residuals, weyl_relation_residual
 
 SUITE_NAMES = ("weyl", "theorem41", "prop42", "prop43", "corollary44", "spin", "all")
+TRIALS = 10  # random draws per suite; the spin suite draws qubit states
+SPIN_TRIALS = 200
 
 
 def suite_weyl(group: Group, seed: int) -> dict:
@@ -40,12 +42,12 @@ def suite_weyl(group: Group, seed: int) -> dict:
     }
 
 
-def suite_theorem41(group: Group, seed: int, trials: int = 10) -> dict:
+def suite_theorem41(group: Group, seed: int) -> dict:
     ws = WeylSystem(group)
     rng = np.random.default_rng(seed)
     worst_cov = 0.0
     worst_round = 0.0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         mm = rand.covariant_measure(rng, group)
         instr = covariant_instrument(ws, mm)
         worst_cov = max(worst_cov, verify_covariance(ws, instr))
@@ -57,12 +59,12 @@ def suite_theorem41(group: Group, seed: int, trials: int = 10) -> dict:
     }
 
 
-def suite_prop42(group: Group, seed: int, trials: int = 10) -> dict:
+def suite_prop42(group: Group, seed: int) -> dict:
     ws = WeylSystem(group)
     rng = np.random.default_rng(seed)
     worst_a = 0.0
     worst_b = 0.0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         mm = rand.covariant_measure(rng, group)
         result = run_sequential(ws, mm)
         ref_a = smear_position(ws, result.sigma)
@@ -79,12 +81,12 @@ def suite_prop42(group: Group, seed: int, trials: int = 10) -> dict:
     }
 
 
-def suite_prop43(group: Group, seed: int, trials: int = 10) -> dict:
+def suite_prop43(group: Group, seed: int) -> dict:
     ws = WeylSystem(group)
     rng = np.random.default_rng(seed)
     worst_joint = 0.0
     worst_recon = 0.0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         mm = rand.covariant_measure(rng, group)
         result = run_sequential(ws, mm)
         worst_joint = max(worst_joint, cpso_defect(ws, result))
@@ -98,12 +100,12 @@ def suite_prop43(group: Group, seed: int, trials: int = 10) -> dict:
     }
 
 
-def suite_corollary44(group: Group, seed: int, trials: int = 10) -> dict:
+def suite_corollary44(group: Group, seed: int) -> dict:
     ws = WeylSystem(group)
     rng = np.random.default_rng(seed)
     worst_conv = 0.0
     worst_state = 0.0
-    for _ in range(trials):
+    for _ in range(TRIALS):
         s = rand.state(rng, group.order)
         instr, joint = sequential_from_cpso(ws, s)
         ref = cpso_from_state(ws, s)
@@ -116,12 +118,12 @@ def suite_corollary44(group: Group, seed: int, trials: int = 10) -> dict:
     }
 
 
-def suite_spin(group: Group, seed: int, trials: int = 200) -> dict:
+def suite_spin(group: Group, seed: int) -> dict:
     frame = SpinFrame((0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
     rng = np.random.default_rng(seed)
     worst_fact = 0.0
     worst_trade = 0.0
-    for _ in range(trials):
+    for _ in range(SPIN_TRIALS):
         omega = rand.bloch_state(rng)
         rho = rand.bloch_state(rng)
         worst_fact = max(

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, report shape, determinism, CSV export."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from weylseq import (
     measure_to_json,
 )
 from weylseq import rand
-from weylseq.cli import main
+from weylseq.cli import build_parser, main
 
 
 def write_json(path, obj):
@@ -317,7 +318,7 @@ def test_verify_rejects_tol(capsys):
     assert main(["verify", "--suite", "weyl", "--tol", "1e-9"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "own tolerance" in captured.err
+    assert "unrecognized arguments: --tol" in captured.err
 
 
 def test_zero_tol_is_a_gate(instrument_file):
@@ -338,3 +339,116 @@ def test_oversize_group_exits_1_without_traceback():
 def test_oversize_group_rejected_before_any_work(argv, capsys):
     assert main(argv + ["--group", "400x400"]) == 1
     assert "GiB of dense Weyl operators" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "file_as_csv_dir"])
+def test_unwritable_output_exits_1_without_traceback(measure_file, tmp_path, target):
+    if target == "missing_dir":
+        extra = ["--out", str(tmp_path / "nonexistent" / "dir" / "x.json")]
+    else:
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        extra = ["--csv", str(taken)]
+    proc = run_cli("sequential", "run", "--measure", measure_file, *extra)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+# ==================== option surface ====================
+
+LEAF_OPTIONS = {
+    ("sequential", "run"): {"--measure", "--state", "--csv", "--group", "--tol", "--out"},
+    ("instrument", "build"): {"--measure", "--out"},
+    ("instrument", "verify"): {"--in", "--tol", "--out"},
+    ("instrument", "reconstruct"): {"--in", "--out"},
+    ("cpso",): {"--state", "--check-ic", "--group", "--out"},
+    ("demo", "spin"): {"--a", "--b", "--probe", "--seed", "--out"},
+    ("verify",): {"--suite", "--group", "--seed"},
+    ("dump-weyl",): {"--group", "--out"},
+}
+
+
+def leaf_parsers(parser, path=()):
+    """(command path, parser) for every leaf command under parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from leaf_parsers(child, path + (name,))
+
+
+def test_each_command_takes_exactly_the_options_it_reads():
+    got = {
+        path: {flag for action in p._actions for flag in action.option_strings
+               if flag.startswith("--") and flag != "--help"}
+        for path, p in leaf_parsers(build_parser())
+    }
+    assert got == LEAF_OPTIONS
+
+
+@pytest.fixture
+def state_file(tmp_path):
+    return write_json(tmp_path / "state.json",
+                      matrix_to_json(np.eye(2, dtype=complex) / 2))
+
+
+@pytest.mark.parametrize("argv", [
+    ["instrument", "reconstruct", "--in", "{instrument}", "--tol", "5"],
+    ["instrument", "build", "--measure", "{measure}", "--group", "3"],
+    ["cpso", "--state", "{state}", "--seed", "1"],
+    ["verify", "--suite", "weyl", "--out", "{out}"],
+    ["demo", "spin", "--tol", "1"],
+    ["dump-weyl", "--seed", "1"],
+])
+def test_dropped_flag_exits_1(argv, instrument_file, measure_file, state_file,
+                              tmp_path, capsys):
+    out = tmp_path / "f"
+    argv = [a.format(instrument=instrument_file, measure=measure_file,
+                     state=state_file, out=out) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "unrecognized arguments" in captured.err
+    assert not out.exists()
+
+
+def test_dropped_flag_exits_1_without_traceback(instrument_file):
+    proc = run_cli("instrument", "reconstruct", "--in", instrument_file, "--tol", "5")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: weylseq: unrecognized arguments: --tol 5\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["sequential", "run"], "the following arguments are required: --measure"),
+    (["sequential", "run", "--measure", "m.json", "--tol", "abc"],
+     "argument --tol: invalid float value: 'abc'"),
+])
+def test_usage_error_exits_1(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: weylseq")
+    assert message in captured.err
+
+
+def test_usage_error_exits_1_without_traceback():
+    proc = run_cli("sequential", "run")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: weylseq sequential run: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sequential", "run", "--help"], ["verify", "-h"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: weylseq")

@@ -30,7 +30,8 @@ def chois_of(instr):
 def random_instrument_chois(rng, n, kraus_per_outcome=2):
     """Choi stack of a random instrument: Kraus operators cut from one
     random isometry C^n -> C^(n * r * n)."""
-    q, _ = np.linalg.qr(rand.complex_matrix(rng, n * kraus_per_outcome * n, n))
+    rows = n * kraus_per_outcome * n
+    q, _ = np.linalg.qr(rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
     vecs = q.reshape(n, kraus_per_outcome, n * n)  # [k, s, (a, i)]
     return np.einsum("ksa,ksb->kab", vecs, vecs.conj())
 

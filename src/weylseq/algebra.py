@@ -122,39 +122,5 @@ def approx_eq(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> boo
     return float(np.linalg.norm(a - b)) <= tol.abs_eps + tol.rel_eps * scale
 
 
-# ==================== JSON form ====================
-# A matrix travels as {"rows": n, "cols": m, "data": [[re, im], ...]} with
-# data flattened row-major. Floats round-trip bit-exactly through json.
-
-
-def matrix_to_json(t: np.ndarray) -> dict:
-    t = as_cmatrix(t)
-    rows, cols = t.shape
-    flat = t.reshape(-1)
-    return {
-        "rows": int(rows),
-        "cols": int(cols),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
-    }
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        data = obj["data"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix object: {exc}") from exc
-    if rows <= 0 or cols <= 0:
-        raise DimensionError(f"bad matrix shape {rows}x{cols}")
-    if len(data) != rows * cols:
-        raise DimensionError(
-            f"matrix data has {len(data)} entries, expected {rows * cols}"
-        )
-    out = np.empty(rows * cols, dtype=complex)
-    for k, pair in enumerate(data):
-        re, im = pair
-        out[k] = complex(re, im)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("matrix data has non-finite entries")
-    return out.reshape(rows, cols)
+# Re-exported from the JSON codec, which imports this module.
+from .codec import matrix_from_json, matrix_to_json  # noqa: E402,F401

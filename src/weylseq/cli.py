@@ -3,15 +3,15 @@
 Exit codes: 0 success, 1 usage, I/O or parse error, 2 invariant failure
 (invalid measure or state, residual beyond tolerance). Each command
 accepts only the options it reads. Reports are JSON
-with a fixed field order and shortest round-trip float formatting, so
-identical inputs produce byte-identical output.
+with a fixed field order and shortest round-trip float formatting,
+written by `codec.dump` exactly as `json.dumps(report, indent=2)` would
+write them, so identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from pathlib import Path
@@ -19,16 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import rand
-from .algebra import matrix_from_json, matrix_to_json
+from .codec import (JSONDecodeError, dump, instrument_from_json, instrument_to_json,
+                    loads, matrix_from_json, matrix_to_json, measure_from_json,
+                    measure_to_json, povm_to_json, prob_to_json)
 from .errors import GroupError, WeylseqError
 from .group import Group
 from .instruments import (
     COVARIANCE_GATE,
     covariant_instrument,
-    instrument_from_json,
-    instrument_to_json,
-    measure_from_json,
-    measure_to_json,
     reconstruct_measure,
     verify_covariance,
 )
@@ -36,9 +34,7 @@ from .observables import (
     cpso_from_state,
     effect_span_dimension,
     ensure_state,
-    is_informationally_complete,
     measure,
-    povm_to_json,
     smear_momentum,
     smear_position,
 )
@@ -66,31 +62,25 @@ class _InvariantError(Exception):
 
 
 def _load_json(path: str) -> dict:
-    p = Path(path)
     try:
-        text = p.read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return loads(text)
+    except JSONDecodeError as exc:
         raise _InputError(f"cannot parse {path}: {exc}") from exc
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_state(path: str) -> np.ndarray:
+    """A malformed matrix file exits 1, a matrix that is no state 2."""
     try:
-        return matrix_from_json(_load_json(path))
-    except _InputError:
-        raise
+        mat = matrix_from_json(_load_json(path))
     except (ValueError, TypeError, KeyError) as exc:
         raise _InputError(f"bad matrix in {path}: {exc}") from exc
-
-
-def _load_state(path: str) -> np.ndarray:
-    mat = _load_matrix(path)
     try:
         return ensure_state(mat)
-    except (ValueError, WeylseqError) as exc:
+    except ValueError as exc:
         raise _InvariantError(f"state in {path} is invalid: {exc}") from exc
 
 
@@ -129,21 +119,16 @@ def _check_tol(args) -> None:
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2) + "\n"
     if not out:
-        sys.stdout.write(text)
+        dump(report, sys.stdout)
+        sys.stdout.write("\n")
         return
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            dump(report, fh)
+            fh.write("\n")
     except OSError as exc:
         raise _InputError(f"cannot write {out}: {exc}") from exc
-
-
-def _prob_to_json(pv) -> dict:
-    return {
-        "outcomes": [list(o) if isinstance(o, tuple) else o for o in pv.outcomes],
-        "weights": [float(w) for w in pv.weights],
-    }
 
 
 def _label_text(label) -> str:
@@ -162,6 +147,7 @@ def cmd_sequential_run(args) -> int:
             f"--group {args.group} does not match the measure's group"
         )
     ws = WeylSystem(mm.group)
+    rho = ws.require_dim(_load_state(args.state), "state") if args.state else None
     result = run_sequential(ws, mm)
 
     residuals = {
@@ -184,8 +170,8 @@ def cmd_sequential_run(args) -> int:
         "command": "sequential run",
         "tolerance": args.tol,
         "group": mm.group.to_json(),
-        "sigma": _prob_to_json(result.sigma),
-        "tau": _prob_to_json(result.tau),
+        "sigma": prob_to_json(result.sigma),
+        "tau": prob_to_json(result.tau),
         "generating_state": matrix_to_json(result.generating_state),
         "joint": povm_to_json(result.joint),
         "marginal_a": povm_to_json(result.marginal_a),
@@ -196,24 +182,24 @@ def cmd_sequential_run(args) -> int:
     # leaves stdout empty
     if args.csv:
         try:
-            _export_csv(Path(args.csv), result, args.state)
+            _export_csv(Path(args.csv), result, rho)
         except OSError as exc:
             raise _InputError(f"cannot write CSV files to {args.csv}: {exc}") from exc
     _emit(report, args.out)
 
-    worst = max(residuals.values())
-    if worst > args.tol:
+    worst = float(np.max(list(residuals.values())))  # NaN if any is
+    if not worst <= args.tol:
         raise _InvariantError(f"residual {worst:.3e} beyond tolerance {args.tol}")
     return 0
 
 
-def _export_csv(csv_dir: Path, result, state: str | None) -> None:
+def _export_csv(csv_dir: Path, result, rho: np.ndarray | None) -> None:
     csv_dir.mkdir(parents=True, exist_ok=True)
     for name, pv in (("sigma", result.sigma), ("tau", result.tau)):
         _write_csv(csv_dir / f"{name}.csv", ["outcome", "probability"],
                    ([_label_text(o), repr(float(w))] for o, w in zip(pv.outcomes, pv.weights)))
-    if state:
-        dist = measure(result.joint, _load_state(state))
+    if rho is not None:
+        dist = measure(result.joint, rho)
         _write_csv(csv_dir / "joint.csv", ["position", "momentum", "probability"],
                    ([_label_text(x), _label_text(chi), repr(float(w))]
                     for (x, chi), w in zip(dist.outcomes, dist.weights)))
@@ -246,7 +232,7 @@ def cmd_instrument_verify(args) -> int:
         },
         args.out,
     )
-    if defect > args.tol:
+    if not defect <= args.tol:
         raise _InvariantError(
             f"covariance residual {defect:.3e} beyond tolerance {args.tol}"
         )
@@ -274,8 +260,8 @@ def cmd_cpso(args) -> int:
         "povm": povm_to_json(povm),
     }
     if args.check_ic:
-        report["span_dimension"] = effect_span_dimension(povm)
-        report["informationally_complete"] = bool(is_informationally_complete(povm))
+        report["span_dimension"] = span = effect_span_dimension(povm)
+        report["informationally_complete"] = span == ws.dim**2
     _emit(report, args.out)
     return 0
 

@@ -1,0 +1,174 @@
+"""The package's JSON codec.
+
+A matrix travels as {"rows": n, "cols": m, "data": [[re, im], ...]}, data
+row-major; floats round-trip bit-exactly. `dumps` returns exactly
+`json.dumps(obj, indent=2)`, but writes each matrix's pairs with one
+`float.__repr__` per number and one `str.join`, where the indent makes the
+standard encoder format every float in pure Python.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from itertools import chain
+from json import JSONDecodeError, loads  # noqa: F401  (the standard decoder)
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
+
+from .errors import DimensionError
+from .group import Group
+
+
+def matrix_to_json(t: np.ndarray) -> dict:
+    t = as_cmatrix(t)
+    data = t.reshape(-1).view(float).reshape(-1, 2).tolist()
+    return {"rows": t.shape[0], "cols": t.shape[1], "data": data}
+
+
+def matrix_from_json(obj: dict) -> np.ndarray:
+    try:
+        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed matrix object: {exc}") from exc
+    if rows <= 0 or cols <= 0:
+        raise DimensionError(f"bad matrix shape {rows}x{cols}")
+    if len(data) != rows * cols:
+        raise DimensionError(f"matrix data has {len(data)} entries, expected {rows * cols}")
+    out = np.array([complex(re, im) for re, im in data])
+    if not np.all(np.isfinite(out)):
+        raise ValueError("matrix data has non-finite entries")
+    return out.reshape(rows, cols)
+
+
+def prob_to_json(pv) -> dict:
+    return {
+        "outcomes": [_label_to_json(o) for o in pv.outcomes],
+        "weights": [float(w) for w in pv.weights],
+    }
+
+
+def povm_to_json(povm: Povm) -> dict:
+    return {
+        "outcomes": [_label_to_json(o) for o in povm.outcomes],
+        "effects": [matrix_to_json(e) for e in povm.effects],
+    }
+
+
+def povm_from_json(obj: dict) -> Povm:
+    try:
+        outcomes = [_label_from_json(o) for o in obj["outcomes"]]
+        effects = [matrix_from_json(e) for e in obj["effects"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed POVM object: {exc}") from exc
+    return Povm(tuple(outcomes), np.array(effects))
+
+
+def _label_to_json(label):
+    if isinstance(label, tuple):
+        return [_label_to_json(v) for v in label]
+    return label
+
+
+def _label_from_json(obj):
+    if isinstance(obj, list):
+        return tuple(_label_from_json(v) for v in obj)
+    return obj
+
+
+def instrument_to_json(ws, instr: Instrument) -> dict:
+    _require_group_instrument(ws, instr)
+    return {
+        "group": ws.group.to_json(),
+        "maps": [{"choi": matrix_to_json(m.choi)} for m in instr.maps],
+    }
+
+
+def instrument_from_json(obj: dict):
+    """Returns (group, instrument); outcomes are the group elements."""
+    try:
+        group = Group.from_json(obj["group"])
+        chois = [matrix_from_json(m["choi"]) for m in obj["maps"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed instrument object: {exc}") from exc
+    n = group.order
+    if len(chois) != n:
+        raise DimensionError(f"expected {n} maps, got {len(chois)}")
+    maps = tuple(CpMap(n, n, c) for c in chois)
+    return group, Instrument(group.elements, maps)
+
+
+def measure_to_json(mm: CovariantMeasure) -> dict:
+    return {
+        "group": mm.group.to_json(),
+        "m": [matrix_to_json(mx) for mx in mm.m],
+    }
+
+
+def measure_from_json(obj: dict) -> CovariantMeasure:
+    try:
+        group = Group.from_json(obj["group"])
+        stacks = [matrix_from_json(mx) for mx in obj["m"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed measure object: {exc}") from exc
+    return CovariantMeasure(group, np.array(stacks))
+
+
+def dumps(obj) -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte."""
+    parts = []
+    _write(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def dump(obj, fp) -> None:
+    """Write `dumps(obj)` to the text stream fp, one piece at a time."""
+    _write(obj, "\n", fp.write)
+
+
+def _write(obj, newline: str, out) -> None:
+    """Send the encoding of obj, nested at the indent that `newline` ends in, to out."""
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        sep = "{" + inner
+        for key, value in obj.items():
+            out(sep + encode_basestring_ascii(key) + ": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif isinstance(obj, (list, tuple)) and obj and (pairs := _pairs(obj, newline)):
+        out(pairs)
+    elif isinstance(obj, (list, tuple)) and obj:
+        sep = "[" + inner
+        for item in obj:
+            out(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    else:
+        # Scalars, empty containers and dicts with non-string keys. Every
+        # line break in json output is structural, so re-indenting them
+        # nests the standard encoding.
+        out(json.dumps(obj, indent=2).replace("\n", newline))
+
+
+def _pairs(items, newline: str) -> str | None:
+    """The encoding of a list of [re, im] pairs of finite floats, else None."""
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
+        return None
+    flat = list(chain.from_iterable(items))
+    if set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
+        return None  # (a sum that overflows only costs the fast path)
+    inner, nested = newline + "  ", newline + "    "
+    reprs = map(float.__repr__, flat)
+    body = (inner + "]," + inner + "[" + nested).join(
+        map(("," + nested).join, zip(reprs, reprs)))
+    return "[" + inner + "[" + nested + body + inner + "]" + newline + "]"
+
+
+# Imported last: algebra, instruments and observables re-export this module.
+from .algebra import as_cmatrix  # noqa: E402
+from .instruments import CovariantMeasure, CpMap, Instrument  # noqa: E402
+from .instruments import _require_group_instrument  # noqa: E402
+from .observables import Povm  # noqa: E402

@@ -46,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import is_psd, matrix_from_json, matrix_to_json
+from .algebra import is_psd
 from .errors import DimensionError, InvalidMeasureError, NotCovariantError
 from .group import Group
 from .observables import Povm, ensure_state
@@ -431,42 +431,6 @@ def reconstruction_residual(
     return float(abs(acc - n * (f2.conj() @ (t @ f1))))
 
 
-# ==================== JSON form ====================
-
-
-def instrument_to_json(ws: WeylSystem, instr: Instrument) -> dict:
-    _require_group_instrument(ws, instr)
-    return {
-        "group": ws.group.to_json(),
-        "maps": [{"choi": matrix_to_json(m.choi)} for m in instr.maps],
-    }
-
-
-def instrument_from_json(obj: dict):
-    """Returns (group, instrument); outcomes are the group elements."""
-    try:
-        group = Group.from_json(obj["group"])
-        chois = [matrix_from_json(m["choi"]) for m in obj["maps"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed instrument object: {exc}") from exc
-    n = group.order
-    if len(chois) != n:
-        raise DimensionError(f"expected {n} maps, got {len(chois)}")
-    maps = tuple(CpMap(n, n, c) for c in chois)
-    return group, Instrument(group.elements, maps)
-
-
-def measure_to_json(mm: CovariantMeasure) -> dict:
-    return {
-        "group": mm.group.to_json(),
-        "m": [matrix_to_json(mx) for mx in mm.m],
-    }
-
-
-def measure_from_json(obj: dict) -> CovariantMeasure:
-    try:
-        group = Group.from_json(obj["group"])
-        stacks = [matrix_from_json(mx) for mx in obj["m"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed measure object: {exc}") from exc
-    return CovariantMeasure(group, np.array(stacks))
+# Re-exported from the JSON codec, which imports this module.
+from .codec import instrument_from_json, instrument_to_json  # noqa: E402,F401
+from .codec import measure_from_json, measure_to_json  # noqa: E402,F401

@@ -203,36 +203,5 @@ def verify_cpso_covariance(ws: WeylSystem, povm: Povm) -> float:
     return res
 
 
-# ==================== JSON form ====================
-
-
-def povm_to_json(povm: Povm) -> dict:
-    from .algebra import matrix_to_json
-
-    return {
-        "outcomes": [_label_to_json(o) for o in povm.outcomes],
-        "effects": [matrix_to_json(e) for e in povm.effects],
-    }
-
-
-def povm_from_json(obj: dict) -> Povm:
-    from .algebra import matrix_from_json
-
-    try:
-        outcomes = [_label_from_json(o) for o in obj["outcomes"]]
-        effects = [matrix_from_json(e) for e in obj["effects"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed POVM object: {exc}") from exc
-    return Povm(tuple(outcomes), np.array(effects))
-
-
-def _label_to_json(label):
-    if isinstance(label, tuple):
-        return [_label_to_json(v) for v in label]
-    return label
-
-
-def _label_from_json(obj):
-    if isinstance(obj, list):
-        return tuple(_label_from_json(v) for v in obj)
-    return obj
+# Re-exported from the JSON codec, which imports this module.
+from .codec import povm_from_json, povm_to_json  # noqa: E402,F401

@@ -356,6 +356,61 @@ def test_unwritable_output_exits_1_without_traceback(measure_file, tmp_path, tar
     assert proc.stdout == ""
 
 
+# ==================== --state is read whenever it is given ====================
+
+
+@pytest.mark.parametrize("with_csv", [False, True])
+@pytest.mark.parametrize("kind, code", [
+    ("missing", 1), ("unparsable", 1), ("not_a_state", 2), ("wrong_dimension", 2),
+])
+def test_sequential_run_checks_state_before_the_analysis(
+        measure_file, tmp_path, capsys, kind, code, with_csv):
+    state = tmp_path / "state.json"
+    if kind == "unparsable":
+        state.write_text("{not json")
+    elif kind == "not_a_state":
+        write_json(state, matrix_to_json(np.diag([1.5, -0.5]).astype(complex)))
+    elif kind == "wrong_dimension":
+        write_json(state, matrix_to_json(np.eye(3, dtype=complex) / 3))
+    argv = ["sequential", "run", "--measure", measure_file, "--state", str(state)]
+    if with_csv:
+        argv += ["--csv", str(tmp_path / "csv")]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "state" in captured.err
+    assert not (tmp_path / "csv").exists()
+
+
+def test_sequential_run_missing_state_exits_1_without_traceback(measure_file):
+    proc = run_cli("sequential", "run", "--measure", measure_file,
+                   "--state", "/nonexistent/state.json")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot read /nonexistent/state.json")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+# ==================== NaN residuals fail the gate ====================
+
+
+def test_sequential_run_nan_residual_exits_2(measure_file, monkeypatch, capsys):
+    # not the first residual, so that max() over the residuals would skip it
+    monkeypatch.setattr("weylseq.cli.cpso_defect", lambda ws, result: float("nan"))
+    assert main(["sequential", "run", "--measure", measure_file]) == 2
+    captured = capsys.readouterr()
+    assert np.isnan(json.loads(captured.out)["residuals"]["joint_vs_cpso"])
+    assert "residual nan beyond tolerance" in captured.err
+
+
+def test_instrument_verify_nan_residual_exits_2(instrument_file, monkeypatch, capsys):
+    monkeypatch.setattr("weylseq.cli.verify_covariance", lambda ws, instr: float("nan"))
+    assert main(["instrument", "verify", "--in", instrument_file]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["pass"] is False
+    assert "covariance residual nan beyond tolerance" in captured.err
+
+
 # ==================== option surface ====================
 
 LEAF_OPTIONS = {

@@ -23,6 +23,7 @@ from .errors import (
     DimensionError,
     GroupError,
     HermiticityError,
+    InvalidInstrumentError,
     InvalidMeasureError,
     NotCovariantError,
     WeylseqError,
@@ -91,7 +92,7 @@ __all__ = [
     "matrix_from_json", "matrix_to_json", "partial_trace_first",
     "partial_trace_second", "trace_norm",
     "DimensionError", "GroupError", "HermiticityError",
-    "InvalidMeasureError", "NotCovariantError", "WeylseqError",
+    "InvalidInstrumentError", "InvalidMeasureError", "NotCovariantError", "WeylseqError",
     "Group",
     "CovariantMeasure", "CpMap", "Instrument", "associated_observable",
     "compose_sequential", "coupling_unitary", "covariant_instrument",

@@ -45,8 +45,9 @@ from .weyl import WeylSystem
 
 DEFAULT_SEED = 42
 DEFAULT_GATE = 1e-9
-# Largest dense Weyl system a --group may ask for: the U and V stacks take
-# 2 * 16 * n^3 bytes, the index, character and Fourier tables 40 * n^2.
+# Largest dense Weyl system a --group may ask for: the U and V stacks, which
+# only dump-weyl and the verify snag check still build, take 2 * 16 * n^3
+# bytes, the index, character and Fourier tables 40 * n^2.
 MAX_WEYL_BYTES = 1 << 30
 
 

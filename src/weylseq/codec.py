@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, GroupError
 from .group import Group
 
 
@@ -30,13 +30,15 @@ def matrix_to_json(t: np.ndarray) -> dict:
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
+        if rows <= 0 or cols <= 0:
+            raise DimensionError(f"bad matrix shape {rows}x{cols}")
+        if len(data) != rows * cols:
+            raise DimensionError(
+                f"matrix data has {len(data)} entries, expected {rows * cols}")
+        out = np.array([complex(re, im) for re, im in data])
+    except (KeyError, TypeError, OverflowError) as exc:
+        # OverflowError: a number beyond the float range, such as 1e400
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    if rows <= 0 or cols <= 0:
-        raise DimensionError(f"bad matrix shape {rows}x{cols}")
-    if len(data) != rows * cols:
-        raise DimensionError(f"matrix data has {len(data)} entries, expected {rows * cols}")
-    out = np.array([complex(re, im) for re, im in data])
     if not np.all(np.isfinite(out)):
         raise ValueError("matrix data has non-finite entries")
     return out.reshape(rows, cols)
@@ -90,7 +92,7 @@ def instrument_from_json(obj: dict):
     try:
         group = Group.from_json(obj["group"])
         chois = [matrix_from_json(m["choi"]) for m in obj["maps"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, GroupError) as exc:
         raise ValueError(f"malformed instrument object: {exc}") from exc
     n = group.order
     if len(chois) != n:
@@ -110,7 +112,7 @@ def measure_from_json(obj: dict) -> CovariantMeasure:
     try:
         group = Group.from_json(obj["group"])
         stacks = [matrix_from_json(mx) for mx in obj["m"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, GroupError) as exc:
         raise ValueError(f"malformed measure object: {exc}") from exc
     return CovariantMeasure(group, np.array(stacks))
 

@@ -21,5 +21,10 @@ class InvalidMeasureError(WeylseqError):
     """Operator-valued measure violates positivity or normalization."""
 
 
+class InvalidInstrumentError(WeylseqError):
+    """A map is not completely positive or increases trace, or an
+    instrument's total map is not trace preserving."""
+
+
 class NotCovariantError(WeylseqError):
     """Instrument or observable fails the covariance requirement."""

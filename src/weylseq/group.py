@@ -162,7 +162,7 @@ class Group:
     @classmethod
     def from_json(cls, obj: dict) -> "Group":
         try:
-            mods = obj["moduli"]
-        except (KeyError, TypeError) as exc:
+            mods = tuple(int(d) for d in obj["moduli"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GroupError(f"malformed group object: {exc}") from exc
-        return cls(tuple(int(d) for d in mods))
+        return cls(mods)

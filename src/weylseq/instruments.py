@@ -34,9 +34,8 @@ entry by chi(a - i - b + j), which is 1 on the support i - a = j - b.
 So the closed form is exactly covariant, and `verify_covariance` checks
 these two properties on any instrument in O(n^6).
 
-`reconstruct_measure` inverts this parametrization from the instrument's
-action alone, by expanding over the orthogonal operator basis
-{V_gamma U_y} (tr[(V_g U_y)^dag V_g' U_y'] = n delta delta).
+`reconstruct_measure` inverts it: each m(y)[p, q] sits in n Choi
+entries, one per outcome k, and their mean is the inverse.
 """
 
 from __future__ import annotations
@@ -47,7 +46,8 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import is_psd
-from .errors import DimensionError, InvalidMeasureError, NotCovariantError
+from .errors import (DimensionError, InvalidInstrumentError, InvalidMeasureError,
+                     NotCovariantError)
 from .group import Group
 from .observables import Povm, ensure_state
 from .weyl import WeylSystem
@@ -72,13 +72,14 @@ class CpMap:
                 f"Choi matrix shape {c.shape}, expected ({want}, {want})"
             )
         if not np.all(np.isfinite(c)):
-            raise ValueError("Choi matrix has non-finite entries")
+            raise InvalidInstrumentError("Choi matrix has non-finite entries")
         if not is_psd(c):
-            raise ValueError("Choi matrix is not positive semidefinite (map not CP)")
+            raise InvalidInstrumentError(
+                "Choi matrix is not positive semidefinite (map not CP)")
         red = np.einsum("aiaj->ij", c.reshape(self._shape4))
         excess = np.linalg.eigvalsh((red + red.conj().T) / 2 - np.eye(self.dim_in))
         if excess.max(initial=0.0) > 1e-9:
-            raise ValueError(
+            raise InvalidInstrumentError(
                 f"map increases trace: max eigenvalue excess {excess.max():.3e}"
             )
         self.choi = c
@@ -129,10 +130,6 @@ class CpMap:
             )
         return np.einsum("aibj,ij->ab", self._choi4, t)
 
-    def apply_stack(self, ts: np.ndarray) -> np.ndarray:
-        """Phi applied along the first axis of a stack of matrices."""
-        return np.einsum("aibj,...ij->...ab", self._choi4, ts, optimize=True)
-
     def dual_apply(self, a: np.ndarray) -> np.ndarray:
         """Heisenberg dual: tr[Phi(t) a] = tr[t Phi^*(a)] for all t."""
         a = np.asarray(a, dtype=complex)
@@ -168,7 +165,7 @@ class Instrument:
                 f"{len(self.outcomes)} outcomes but {len(self.maps)} maps"
             )
         if not self.maps:
-            raise ValueError("instrument needs at least one outcome")
+            raise InvalidInstrumentError("instrument needs at least one outcome")
         d_in = self.maps[0].dim_in
         d_out = self.maps[0].dim_out
         for m in self.maps:
@@ -177,7 +174,7 @@ class Instrument:
         total = sum(m.dual_apply(np.eye(d_out)) for m in self.maps)
         defect = float(np.linalg.norm(total - np.eye(d_in)))
         if defect > 1e-9:
-            raise ValueError(
+            raise InvalidInstrumentError(
                 f"total map is not trace preserving: defect {defect:.3e}"
             )
 
@@ -365,15 +362,12 @@ def verify_covariance(ws: WeylSystem, instr: Instrument) -> float:
 def reconstruct_measure(ws: WeylSystem, instr: Instrument) -> CovariantMeasure:
     """Recover the operator-valued measure of a covariant instrument.
 
-    Probing the instrument with the matrices T_{y,beta} = U_y V_beta^dag
-    and contracting against characters isolates every Fourier coefficient
-    of the translated densities M'(x):
+    The closed form of the module docstring puts m(y)[p, q] in one Choi
+    entry per outcome k, and the Hermitian part of their mean,
 
-        n * tr[V_gamma U_y FM'(chi)]
-            = sum_x gamma(x) tr[V_chi U_y^dag I_x(U_y V_{chi+gamma}^dag)],
+        m(y)[p, q] = (1/n) sum_k Choi_k[k - p, k - p + y, k - q, k - q + y],
 
-    after which FM'(chi) is reassembled over the orthogonal operator basis
-    {V_gamma U_y} and inverted back to m(x) = U_x M'(x) U_x^dag.
+    is the measure whose closed-form instrument is Frobenius-nearest.
 
     Raises NotCovariantError if the covariance defect exceeds 1e-6.
     """
@@ -383,32 +377,13 @@ def reconstruct_measure(ws: WeylSystem, instr: Instrument) -> CovariantMeasure:
             f"covariance defect {defect:.3e} exceeds {COVARIANCE_GATE}"
         )
     n = ws.dim
-    g = ws.group
-    u, v = ws.translations, ws.modulations
-    table = g.character_table
-    add = g.add_table
-
-    # probes[y, beta] = U_y V_beta^dag, pushed through every outcome map
-    probes = np.einsum("yab,tcb->ytac", u, v.conj(), optimize=True)
-    pushed = np.array([instr.maps[x].apply_stack(probes) for x in range(n)])
-
-    udag = u.conj().transpose(0, 2, 1)
-    vdag = v.conj().transpose(0, 2, 1)
-    basis_dag = np.einsum("yab,gbc->ygac", udag, vdag, optimize=True)
-
-    fm_prime = np.empty((n, n, n), dtype=complex)
-    for c in range(n):
-        # coeff[y, g] = (1/n) tr[V_c U_y^dag sum_x gamma_g(x) I_x(T_{y, c+g})]
-        sel = pushed[:, :, add[c]]  # [x, y, g, a, b] with beta = c + g
-        summed = np.einsum("gx,xygab->ygab", table, sel, optimize=True)
-        front = np.einsum("ab,ybc->yac", v[c], udag, optimize=True)
-        coeff = np.einsum("yac,ygca->yg", front, summed, optimize=True) / n
-        fm_prime[c] = np.einsum("yg,ygab->ab", coeff, basis_dag, optimize=True) / n
-    # m(x) = U_x [ (1/n) sum_c chi_c(x) FM'(c) ] U_x^dag
-    mprime = np.einsum("cx,cab->xab", table, fm_prime, optimize=True) / n
-    mstack = np.einsum("xab,xbc,xdc->xad", u, mprime, u.conj(), optimize=True)
+    add, sub = ws.group.add_table, ws.group.sub_table
+    c5 = np.array([m.choi for m in instr.maps]).reshape((n,) * 5)
+    k, y, p, q = np.ix_(*(np.arange(n),) * 4)
+    a, b = sub[k, p], sub[k, q]
+    mstack = c5[k, a, add[a, y], b, add[b, y]].sum(axis=0) / n
     mstack = (mstack + mstack.conj().transpose(0, 2, 1)) / 2
-    return CovariantMeasure(g, mstack)
+    return CovariantMeasure(ws.group, mstack)
 
 
 def reconstruction_residual(
@@ -418,17 +393,17 @@ def reconstruction_residual(
 
         sum_{x,chi} tr[V_chi U_x T] <U_x^dag V_chi^dag f1, f2> = n <T f1, f2>
 
-    with the inner product linear in its first argument.
+    with the inner product linear in its first argument. V_chi U_x maps
+    e_{c-x} to chi(c) e_c, so tr[V_chi U_x T] = sum_c chi(c) T[c-x, c] and
+    the inner product is sum_c conj(f2[c-x]) f1[c] conj(chi(c)): two
+    products with the character table.
     """
     t = ws.require_dim(t)
-    n = ws.dim
-    acc = 0.0 + 0.0j
-    for i in range(n):
-        for j in range(n):
-            d = ws.modulations[j] @ ws.translations[i]
-            coeff = np.einsum("ab,ba->", d, t)
-            acc += coeff * (f2.conj() @ (d.conj().T @ f1))
-    return float(abs(acc - n * (f2.conj() @ (t @ f1))))
+    table = ws.group.character_table  # [chi, c]
+    back = ws.group.sub_table.T  # back[x, c] = index(c - x)
+    coeff = t[back, np.arange(ws.dim)] @ table.T  # [x, chi]
+    inner = (f2.conj()[back] * f1) @ table.conj().T
+    return float(abs((coeff * inner).sum() - ws.dim * (f2.conj() @ (t @ f1))))
 
 
 # Re-exported from the JSON codec, which imports this module.

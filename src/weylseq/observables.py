@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, Tolerance, is_psd, require_hermitian
 from .errors import DimensionError
-from .weyl import WeylSystem
+from .weyl import WeylSystem, weyl_conjugates
 
 PROB_FLOOR = -1e-12
 SPAN_REL_CUTOFF = 1e-8  # relative singular-value cutoff of effect_span_dimension
@@ -147,15 +147,12 @@ def smear_momentum(ws: WeylSystem, tau: ProbVector) -> Povm:
 
 def cpso_from_state(ws: WeylSystem, s: np.ndarray) -> Povm:
     """Covariant phase-space observable generated by the state s:
-    effect(x, chi) = (1/n) U_x V_chi s V_chi^dag U_x^dag, outcomes x-major."""
+    effect(x, chi) = (1/n) U_x V_chi s V_chi^dag U_x^dag, outcomes x-major,
+    each conjugate a gather of s times a phase (`weyl_conjugates`)."""
     s = ensure_state(ws.require_dim(s, "generating state"))
     n = ws.dim
-    effects = np.empty((n * n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            w = ws.translations[i] @ ws.modulations[j]
-            effects[i * n + j] = w @ s @ w.conj().T / n
-    return Povm(ws.phase_points, effects)
+    effects = np.array([weyl_conjugates(ws, s, x) for x in range(n)]) / n
+    return Povm(ws.phase_points, effects.reshape(n * n, n, n))
 
 
 def effect_span_dimension(povm: Povm) -> int:
@@ -192,14 +189,11 @@ def verify_cpso_covariance(ws: WeylSystem, povm: Povm) -> float:
     e = povm.effects.reshape(n, n, n, n)  # [x, chi, row, col]
     add = ws.group.add_table
     res = 0.0
-    for i in range(n):
-        for j in range(n):
-            w = ws.translations[i] @ ws.modulations[j]
-            moved = np.einsum("ab,ygbd,cd->ygac", w, e, w.conj(), optimize=True)
-            target = e[np.ix_(add[i], add[j])]
-            diff = target - moved
-            norms = np.sqrt((np.abs(diff) ** 2).sum(axis=(2, 3)))
-            res = max(res, float(norms.max()))
+    for x in range(n):
+        moved = weyl_conjugates(ws, e, x)  # [chi, y, gamma, row, col]
+        target = e[add[x][None, :, None], add[:, None, :]]
+        norms = np.sqrt((np.abs(target - moved) ** 2).sum(axis=(3, 4)))
+        res = max(res, float(norms.max()))
     return res
 
 

@@ -75,9 +75,9 @@ def joint_observable(ws: WeylSystem, instr: Instrument, with_defect: bool = Fals
 
 
 def translated_total_density(ws: WeylSystem, mm: CovariantMeasure) -> np.ndarray:
-    """M'(G) = sum_x U_x^dag m(x) U_x."""
-    u = ws.translations
-    return np.einsum("xba,xbc,xcd->ad", u.conj(), mm.m, u, optimize=True)
+    """M'(G) = sum_x U_x^dag m(x) U_x, so M'(G)[a, b] = sum_x m(x)[a + x, b + x]."""
+    add = ws.group.add_table  # add[x, a] = index(x + a)
+    return mm.m[np.arange(ws.dim)[:, None, None], add[:, :, None], add[:, None, :]].sum(axis=0)
 
 
 def noise_measures(ws: WeylSystem, mm: CovariantMeasure):

@@ -14,13 +14,13 @@ observable-level formulas are u-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionError, GroupError
+from .errors import DimensionError
 from .group import Element, Group
 
 
@@ -50,36 +50,37 @@ def phase_point_product(group: Group, p: PhasePoint, q: PhasePoint) -> PhasePoin
 
 
 class WeylSystem:
-    """All Weyl operators of a group, cached as dense stacks.
+    """All Weyl operators of a group, through the group's tables.
+
+    Each W = U_x V_chi is monomial: U_x permutes by the `add_table` and
+    V_chi is the row chi of the `character_table` on the diagonal, so
+    W A W^dag is a gather times a phase (`weyl_conjugates`). The dense
+    stacks are built on first access only, for `dump-weyl`,
+    `snag_residuals` and `weyl_op`.
 
     Attributes
     ----------
     group : Group
-    translations : (n, n, n) array, translations[i] = U at elements[i]
-    modulations : (n, n, n) array, modulations[i] = V at elements[i]
     fourier : (n, n) unitary with fourier[chi, x] = c * conj(chi(x))
     """
 
     def __init__(self, group: Group):
         self.group = group
-        n = group.order
-        self.dim = n
-        elems = group.elements
-        table = group.character_table
-
-        u = np.zeros((n, n, n), dtype=complex)
-        cols = np.arange(n)
-        for i in range(n):
-            u[i, group.add_table[i], cols] = 1.0
-        self.translations = u
-
-        v = np.zeros((n, n, n), dtype=complex)
-        for i in range(n):
-            v[i, cols, cols] = table[i]
-        self.modulations = v
-
+        self.dim = group.order
         self.fourier = group.fourier_matrix()
-        self._elements = elems
+
+    @cached_property
+    def translations(self) -> np.ndarray:
+        """(n, n, n) stack, translations[i] = U at elements[i]."""
+        return np.eye(self.dim, dtype=complex)[self.group.add_table].transpose(0, 2, 1)
+
+    @cached_property
+    def modulations(self) -> np.ndarray:
+        """(n, n, n) stack, modulations[i] = V at elements[i]."""
+        idx = np.arange(self.dim)
+        v = np.zeros((self.dim,) * 3, dtype=complex)
+        v[:, idx, idx] = self.group.character_table
+        return v
 
     # ---------- operators ----------
 
@@ -131,7 +132,7 @@ class WeylSystem:
     @cached_property
     def phase_points(self) -> tuple:
         """(x, chi) pairs, x-major, matching joint-observable outcome order."""
-        elems = self._elements
+        elems = self.group.elements
         return tuple((x, chi) for x in elems for chi in elems)
 
     def require_dim(self, t: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -159,13 +160,25 @@ def snag_residuals(ws: WeylSystem) -> tuple:
     return res_u, res_v
 
 
+def weyl_conjugates(ws: WeylSystem, t: np.ndarray, x: int) -> np.ndarray:
+    """W t W^dag for W = U_x V_chi (x an index) and every chi, on a new
+    first axis; t is a matrix or a stack of them on its last two axes:
+
+        out[chi, ..., a, b] = chi(a - x) t[..., a - x, b - x] conj(chi(b - x)).
+    """
+    back = ws.group.sub_table[:, x]  # index of a - x
+    phase = ws.group.character_table[:, back]  # [chi, a]
+    return np.einsum("ca,...ab,cb->c...ab", phase, t[..., back[:, None], back],
+                     phase.conj())
+
+
 def weyl_relation_residual(ws: WeylSystem) -> float:
-    """max over all (x, chi) of || U_x V_chi - conj(chi(x)) V_chi U_x ||_max."""
-    res = 0.0
-    table = ws.group.character_table
-    for i in range(ws.dim):
-        for j in range(ws.dim):
-            lhs = ws.translations[i] @ ws.modulations[j]
-            rhs = np.conj(table[j, i]) * ws.modulations[j] @ ws.translations[i]
-            res = max(res, float(np.abs(lhs - rhs).max()))
-    return res
+    """max over all (x, chi) of || U_x V_chi - conj(chi(x)) V_chi U_x ||_max.
+
+    Both sides are U_x with phases in column b: chi(b) on the left,
+    conj(chi(x)) chi(b + x) on the right, as the dense products give them.
+    """
+    table = ws.group.character_table  # [chi, b]
+    lhs = table[:, None, :]
+    rhs = table.conj()[:, :, None] * table[:, ws.group.add_table]  # [chi, x, b]
+    return float(np.abs(lhs - rhs).max())

@@ -5,6 +5,9 @@ translated pointer instruments, each obtained by coupling to the probe
 through L and reading the probe out, and the covariance defect by
 conjugating every Choi matrix with W (x) conj(W) for every phase-space
 point W = U_x V_chi. Both cost O(n^9) and are meant for small groups.
+The rest multiply the dense U and V stacks where the package gathers:
+the Weyl relation, phase-space observables and their covariance, M'(G),
+the expansion identity and the measure reconstruction by Weyl probes.
 """
 
 import numpy as np
@@ -64,3 +67,91 @@ def dense_joint_effects(ws: WeylSystem, instr) -> np.ndarray:
         instr.maps[x].dual_apply(ws.momentum_effects[c])
         for x in range(n) for c in range(n)
     ])
+
+
+def dense_weyl_relation_residual(ws: WeylSystem) -> float:
+    """max over all (x, chi) of || U_x V_chi - conj(chi(x)) V_chi U_x ||_max."""
+    res = 0.0
+    table = ws.group.character_table
+    for i in range(ws.dim):
+        for j in range(ws.dim):
+            lhs = ws.translations[i] @ ws.modulations[j]
+            rhs = np.conj(table[j, i]) * ws.modulations[j] @ ws.translations[i]
+            res = max(res, float(np.abs(lhs - rhs).max()))
+    return res
+
+
+def dense_cpso_effects(ws: WeylSystem, s: np.ndarray) -> np.ndarray:
+    """effect(x, chi) = (1/n) W s W^dag with W = U_x V_chi, x-major."""
+    n = ws.dim
+    effects = np.empty((n * n, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            w = ws.translations[i] @ ws.modulations[j]
+            effects[i * n + j] = w @ s @ w.conj().T / n
+    return effects
+
+
+def dense_cpso_covariance(ws: WeylSystem, effects: np.ndarray) -> float:
+    """max || effect(x+y, chi+gamma) - W_{x,chi} effect(y, gamma) W_{x,chi}^dag ||_F."""
+    n = ws.dim
+    e = effects.reshape(n, n, n, n)
+    add = ws.group.add_table
+    res = 0.0
+    for i in range(n):
+        for j in range(n):
+            w = ws.translations[i] @ ws.modulations[j]
+            moved = np.einsum("ab,ygbd,cd->ygac", w, e, w.conj(), optimize=True)
+            diff = e[np.ix_(add[i], add[j])] - moved
+            res = max(res, float(np.sqrt((np.abs(diff) ** 2).sum(axis=(2, 3))).max()))
+    return res
+
+
+def dense_translated_total_density(ws: WeylSystem, m: np.ndarray) -> np.ndarray:
+    """M'(G) = sum_x U_x^dag m(x) U_x."""
+    u = ws.translations
+    return np.einsum("xba,xbc,xcd->ad", u.conj(), m, u, optimize=True)
+
+
+def dense_reconstruct_measure(ws: WeylSystem, chois: np.ndarray) -> np.ndarray:
+    """The measure stack of a covariant instrument from its action alone:
+    probe every outcome map with T_{y,beta} = U_y V_beta^dag, isolate the
+    Fourier coefficients of the translated densities M'(x) through
+
+        n * tr[V_gamma U_y FM'(chi)]
+            = sum_x gamma(x) tr[V_chi U_y^dag I_x(U_y V_{chi+gamma}^dag)],
+
+    reassemble FM'(chi) over the orthogonal basis {V_gamma U_y} and invert
+    back to m(x) = U_x M'(x) U_x^dag, Hermitian part. O(n^7)."""
+    n = ws.dim
+    u, v = ws.translations, ws.modulations
+    table = ws.group.character_table
+    add = ws.group.add_table
+    c5 = chois.reshape((n,) * 5)
+    probes = np.einsum("yab,tcb->ytac", u, v.conj(), optimize=True)
+    pushed = np.einsum("xaibj,ytij->xytab", c5, probes, optimize=True)
+    udag = u.conj().transpose(0, 2, 1)
+    vdag = v.conj().transpose(0, 2, 1)
+    basis_dag = np.einsum("yab,gbc->ygac", udag, vdag, optimize=True)
+    fm_prime = np.empty((n, n, n), dtype=complex)
+    for c in range(n):
+        sel = pushed[:, :, add[c]]  # [x, y, g, a, b] with beta = c + g
+        summed = np.einsum("gx,xygab->ygab", table, sel, optimize=True)
+        front = np.einsum("ab,ybc->yac", v[c], udag, optimize=True)
+        coeff = np.einsum("yac,ygca->yg", front, summed, optimize=True) / n
+        fm_prime[c] = np.einsum("yg,ygab->ab", coeff, basis_dag, optimize=True) / n
+    mprime = np.einsum("cx,cab->xab", table, fm_prime, optimize=True) / n
+    mstack = np.einsum("xab,xbc,xdc->xad", u, mprime, u.conj(), optimize=True)
+    return (mstack + mstack.conj().transpose(0, 2, 1)) / 2
+
+
+def dense_reconstruction_residual(ws: WeylSystem, t, f1, f2) -> float:
+    """| sum_{x,chi} tr[V_chi U_x T] <U_x^dag V_chi^dag f1, f2> - n <T f1, f2> |."""
+    n = ws.dim
+    acc = 0.0 + 0.0j
+    for i in range(n):
+        for j in range(n):
+            d = ws.modulations[j] @ ws.translations[i]
+            coeff = np.einsum("ab,ba->", d, t)
+            acc += coeff * (f2.conj() @ (d.conj().T @ f1))
+    return float(abs(acc - n * (f2.conj() @ (t @ f1))))

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, report shape, determinism, CSV export."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -272,6 +273,22 @@ def test_dump_weyl(capsys):
     assert np.array_equal(got, want)
 
 
+# SHA-256 of the dump-weyl report as written when WeylSystem stored its
+# dense U and V stacks: building them on demand must not move a byte.
+DUMP_WEYL_SHA256 = {
+    "8": "34caba21c7f29d049e3bf9040bae703132c9469dda400b44d687e895f4f98e09",
+    "2x2x2": "5604e6a6affc271e7e4d0b6f0b33da5ba991f6ceb7c94b1fd6615fd8872ecfba",
+    "2x3": "61ee69bd4a73f7fb2733dfb1077b53eb28a5a25e25687456db611aed8590e8c6",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(DUMP_WEYL_SHA256))
+def test_dump_weyl_bytes_are_pinned(spec, capsys):
+    assert main(["dump-weyl", "--group", spec]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DUMP_WEYL_SHA256[spec]
+
+
 def test_sequential_run_reports_the_single_covariance_check(measure_file, capsys):
     assert main(["sequential", "run", "--measure", measure_file]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -507,3 +524,63 @@ def test_help_exits_0(argv, capsys):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: weylseq")
+
+
+# ==================== loader classification ====================
+
+
+def _out_of_range_input(tmp_path, case):
+    """argv of a command whose input file holds a JSON number that fits no float."""
+    half = np.eye(2, dtype=complex) / 2
+    state = json.dumps(matrix_to_json(half))
+    mm = json.dumps(measure_to_json(
+        CovariantMeasure.point_mass(WeylSystem(Group((2,))), (0,), half)))
+    argv, text = {
+        "state_entry": (["cpso", "--state"],
+                        state.replace("[0.5, 0.0]", "[1" + "0" * 400 + ", 0.0]", 1)),
+        "state_rows": (["cpso", "--state"], state.replace('"rows": 2', '"rows": 1e400')),
+        "measure_moduli": (["sequential", "run", "--measure"],
+                           mm.replace('"moduli": [2]', '"moduli": [1e400]')),
+    }[case]
+    assert text not in (state, mm)
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return argv + [str(path)]
+
+
+@pytest.mark.parametrize("case", ["state_entry", "state_rows", "measure_moduli"])
+def test_number_beyond_float_range_exits_1(case, tmp_path, capsys):
+    assert main(_out_of_range_input(tmp_path, case)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad ")
+    assert captured.err.count("\n") == 1
+
+
+def test_number_beyond_float_range_exits_1_without_traceback(tmp_path):
+    proc = run_cli(*_out_of_range_input(tmp_path, "state_entry"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: bad matrix")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("not_cp", "not positive semidefinite"),
+    ("not_trace_preserving", "not trace preserving"),
+])
+@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+def test_invalid_instrument_exits_2(instrument_file, tmp_path, capsys, defect, message,
+                                    command):
+    obj = json.loads(Path(instrument_file).read_text())
+    for k, m in enumerate(obj["maps"]):
+        choi = np.zeros((4, 4), dtype=complex)
+        if defect == "not_cp" and k == 0:
+            choi[0, 0] = -1.0
+        m["choi"] = matrix_to_json(choi)
+    path = write_json(tmp_path / "bad_instr.json", obj)
+    assert main(["instrument", command, "--in", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invariant failure: instrument in ")
+    assert message in captured.err

@@ -1,5 +1,6 @@
-"""The closed-form instrument, the sector-expanded covariance defect and the
-stacked joint observable against the dense constructions in `oracles`."""
+"""The closed-form instrument, the sector-expanded covariance defect, the
+stacked joint observable and the Weyl-operator gathers against the dense
+constructions in `oracles`."""
 
 import numpy as np
 import pytest
@@ -10,13 +11,31 @@ from weylseq import (
     CpMap,
     Group,
     Instrument,
+    Povm,
     WeylSystem,
     covariant_instrument,
+    cpso_from_state,
     joint_observable,
+    reconstruct_measure,
+    reconstruction_residual,
+    run_sequential,
     verify_covariance,
+    verify_cpso_covariance,
+    weyl_relation_residual,
 )
 from weylseq import rand
-from oracles import dense_covariance_defect, dense_covariant_chois, dense_joint_effects
+from weylseq.sequential import translated_total_density
+from oracles import (
+    dense_covariance_defect,
+    dense_covariant_chois,
+    dense_cpso_covariance,
+    dense_cpso_effects,
+    dense_joint_effects,
+    dense_reconstruct_measure,
+    dense_reconstruction_residual,
+    dense_translated_total_density,
+    dense_weyl_relation_residual,
+)
 
 LADDER = [(2,), (3,), (2, 2), (5,), (2, 3), (8,), (2, 2, 2), (3, 3), (10,), (12,),
           (2, 6), (2, 2, 3)]
@@ -124,3 +143,78 @@ def test_sector_defect_property(moduli, seed, kind, log_eps):
     want = dense_covariance_defect(ws, mix)
     # 1e-15 absolute: the dense oracle's own rounding floor
     assert abs(verify_covariance(ws, instr) - want) <= 1e-12 * want + 1e-15
+
+
+# ==================== Weyl operators as gathers ====================
+
+
+def check_gathers(ws, rng):
+    """Every gather against its dense oracle on one random measure and state."""
+    n = ws.dim
+    assert weyl_relation_residual(ws) == dense_weyl_relation_residual(ws)
+
+    s = rand.state(rng, n)
+    povm = cpso_from_state(ws, s)
+    assert np.abs(povm.effects - dense_cpso_effects(ws, s)).max() <= 1e-15
+    assert verify_cpso_covariance(ws, povm) < 1e-12
+    # a non-covariant POVM: two effects trade places
+    swapped = povm.effects.copy()
+    swapped[[0, n + 1]] = swapped[[n + 1, 0]]
+    broken = Povm(povm.outcomes, swapped)
+    want = dense_cpso_covariance(ws, swapped)
+    assert want > 1e-3
+    assert abs(verify_cpso_covariance(ws, broken) - want) <= 1e-12 * want
+
+    mm = rand.covariant_measure(rng, ws.group)
+    total = translated_total_density(ws, mm)
+    assert np.abs(total - dense_translated_total_density(ws, mm.m)).max() <= 1e-15
+
+    instr = covariant_instrument(ws, mm)
+    back = reconstruct_measure(ws, instr).m
+    assert np.abs(back - dense_reconstruct_measure(ws, chois_of(instr))).max() <= 1e-15
+    assert np.abs(back - mm.m).max() <= 1e-15
+
+    t = rand.complex_matrix(rng, n)
+    f1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    f2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert reconstruction_residual(ws, t, f1, f2) < 1e-12
+    assert dense_reconstruction_residual(ws, t, f1, f2) < 1e-12
+
+
+@pytest.mark.parametrize("moduli", LADDER)
+def test_gathers_match_dense_oracles(moduli, rng):
+    check_gathers(WeylSystem(Group(moduli)), rng)
+
+
+@pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
+@pytest.mark.parametrize("moduli", [(2,), (2, 3), (8,), (3, 3)])
+def test_reconstruction_is_the_dense_projection_off_covariance(moduli, kind, rng):
+    ws = WeylSystem(Group(moduli))
+    for eps in (1e-9, 1e-8, 1e-7):
+        instr, mix = perturbed(ws, rng, kind, eps)
+        got = reconstruct_measure(ws, instr).m
+        assert np.abs(got - dense_reconstruct_measure(ws, mix)).max() <= 1e-15
+
+
+GROUPS_UP_TO_12 = st.lists(st.integers(2, 12), min_size=1, max_size=3).filter(
+    lambda m: np.prod(m) <= 12).map(tuple)
+
+
+@settings(max_examples=25, deadline=None)
+@given(moduli=GROUPS_UP_TO_12, seed=st.integers(0, 2**32 - 1))
+def test_gathers_property(moduli, seed):
+    check_gathers(WeylSystem(Group(moduli)), np.random.default_rng(seed))
+
+
+def test_computations_never_build_the_dense_stacks(rng):
+    ws = WeylSystem(Group((2, 3)))
+    mm = rand.covariant_measure(rng, ws.group)
+    s = rand.state(rng, ws.dim)
+    run_sequential(ws, mm)
+    verify_cpso_covariance(ws, cpso_from_state(ws, s))
+    reconstruct_measure(ws, covariant_instrument(ws, mm))
+    t = rand.complex_matrix(rng, ws.dim)
+    reconstruction_residual(ws, t, s[0], s[1])
+    weyl_relation_residual(ws)
+    assert "translations" not in ws.__dict__
+    assert "modulations" not in ws.__dict__

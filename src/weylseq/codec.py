@@ -31,13 +31,14 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
         if rows <= 0 or cols <= 0:
-            raise DimensionError(f"bad matrix shape {rows}x{cols}")
+            raise ValueError(f"bad matrix shape {rows}x{cols}")
         if len(data) != rows * cols:
-            raise DimensionError(
-                f"matrix data has {len(data)} entries, expected {rows * cols}")
+            raise ValueError(f"matrix data has {len(data)} entries, expected {rows * cols}")
         out = np.array([complex(re, im) for re, im in data])
-    except (KeyError, TypeError, OverflowError) as exc:
-        # OverflowError: a number beyond the float range, such as 1e400
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: a number beyond the float range, such as 1e400. A
+        # shape that does not fit the data is malformed too, not an invalid
+        # matrix: every loader reports it like a missing key.
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if not np.all(np.isfinite(out)):
         raise ValueError("matrix data has non-finite entries")

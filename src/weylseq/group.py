@@ -161,8 +161,13 @@ class Group:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Group":
+        """Moduli must be a JSON list of integers: a string such as "23",
+        a float or a bool is a malformed group, not converted."""
         try:
-            mods = tuple(int(d) for d in obj["moduli"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            mods = obj["moduli"]
+        except (KeyError, TypeError) as exc:
             raise GroupError(f"malformed group object: {exc}") from exc
-        return cls(mods)
+        if type(mods) is not list or any(type(d) is not int for d in mods):
+            raise GroupError(
+                f"malformed group object: moduli {mods!r:.40} is not a list of integers")
+        return cls(tuple(mods))

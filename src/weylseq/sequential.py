@@ -17,6 +17,11 @@ phase-space observable generated by S = check(M'(G)), with the check map
     check(T)[i, j] = T[-j, -i]
 
 a linear, involutive, positivity- and trace-preserving reflection.
+
+Theorem 4.1 makes the measure the whole instrument, so `run_sequential`
+and `sequential_from_cpso` form the joint observable from m in O(n^5)
+(`joint_from_measure`); given an instrument, `joint_observable` takes the
+dense route through its Choi stack.
 """
 
 from __future__ import annotations
@@ -25,15 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotCovariantError
-from .instruments import (
-    COVARIANCE_GATE,
-    CovariantMeasure,
-    Instrument,
-    covariant_instrument,
-    standard_instrument,
-    verify_covariance,
-)
+from .instruments import CovariantMeasure, covariant_instrument, require_covariant
 from .observables import Povm, ProbVector, cpso_from_state, ensure_state
 from .weyl import WeylSystem
 
@@ -51,27 +48,51 @@ class SequentialResult:
     covariance_defect: float  # verify_covariance of the instrument
 
 
-def joint_observable(ws: WeylSystem, instr: Instrument, with_defect: bool = False):
+def joint_observable(ws: WeylSystem, source, with_defect: bool = False):
     """Joint phase-space observable of instrument-then-sharp-momentum.
 
-    Outcomes are (x, chi) pairs, x-major. Raises NotCovariantError when
-    the instrument's covariance defect exceeds 1e-6. With `with_defect`,
-    returns (observable, defect) so the caller can report the defect
-    without checking the instrument twice.
+    `source` is an Instrument, or a CovariantMeasure standing for its
+    closed-form instrument, whose effects are then read off the measure
+    (`joint_from_measure`). Outcomes are (x, chi) pairs, x-major. Raises
+    NotCovariantError when the instrument's covariance defect exceeds
+    1e-6. With `with_defect`, returns (observable, defect) so the caller
+    can report the defect without checking the instrument twice.
     """
-    defect = verify_covariance(ws, instr)
-    if defect > COVARIANCE_GATE:
-        raise NotCovariantError(
-            f"covariance defect {defect:.3e} exceeds {COVARIANCE_GATE}"
-        )
-    n = ws.dim
-    chois = np.array([m.choi for m in instr.maps]).reshape((n,) * 5)
-    # effect(x, chi)[j, i] = sum_{a,b} Choi_x[a, i, b, j] B({chi})[b, a];
-    # C order keeps the sums over the effects, and so the reports, bitwise
-    # as they were with one dual_apply per outcome
-    effects = np.einsum("xaibj,cba->xcji", chois, ws.momentum_effects, order="C")
-    joint = Povm(ws.phase_points, effects.reshape(n * n, n, n))
+    if isinstance(source, CovariantMeasure):
+        defect = require_covariant(ws, covariant_instrument(ws, source))
+        joint = joint_from_measure(ws, source)
+    else:
+        defect = require_covariant(ws, source)
+        n = ws.dim
+        chois = np.array([m.choi for m in source.maps]).reshape((n,) * 5)
+        # effect(x, chi)[j, i] = sum_{a,b} Choi_x[a, i, b, j] B({chi})[b, a];
+        # C order keeps the sums over the effects, and so the reports, bitwise
+        # as they were with one dual_apply per outcome
+        effects = np.einsum("xaibj,cba->xcji", chois, ws.momentum_effects, order="C")
+        joint = Povm(ws.phase_points, effects.reshape(n * n, n, n))
     return (joint, defect) if with_defect else joint
+
+
+def joint_from_measure(ws: WeylSystem, mm: CovariantMeasure) -> Povm:
+    """`joint_observable` of covariant_instrument(ws, mm), read off the
+    measure. Choi_x[a, i, b, j] is nonzero only where i - a = j - b = y, so
+
+        effect(x, chi)[j, i] = sum_y m(y)[x - i + y, x - j + y] B({chi})[j - y, i - y]
+
+    with the Hermitian parts of the densities: n products of n x n
+    matrices per (j, i), O(n^5) in place of a contraction of the n^5
+    Choi stack with the n^3 momentum effects.
+    """
+    n = ws.dim
+    add, sub = ws.group.add_table, ws.group.sub_table
+    r = np.arange(n)
+    j, i = r[:, None, None, None], r[:, None, None]
+    x, y = r[:, None], r
+    dens = mm.hermitian[y, add[sub[x, i], y], add[sub[x, j], y]]  # [j, i, x, y]
+    y, chi = r[:, None], r
+    moms = ws.momentum_effects[chi, sub[j, y], sub[i, y]]  # [j, i, y, chi]
+    effects = np.ascontiguousarray((dens @ moms).transpose(2, 3, 0, 1))  # [x, chi, j, i]
+    return Povm(ws.phase_points, effects.reshape(n * n, n, n))
 
 
 def translated_total_density(ws: WeylSystem, mm: CovariantMeasure) -> np.ndarray:
@@ -113,15 +134,13 @@ def sequential_from_cpso(ws: WeylSystem, s: np.ndarray):
     which reproduces cpso_from_state(ws, s).
     """
     s = ensure_state(ws.require_dim(s, "generating state"))
-    omega = check_map(ws, s)
-    instr = standard_instrument(ws, omega)
-    return instr, joint_observable(ws, instr)
+    mm = CovariantMeasure.point_mass(ws, ws.group.zero(), check_map(ws, s))
+    return covariant_instrument(ws, mm), joint_observable(ws, mm)
 
 
 def run_sequential(ws: WeylSystem, mm: CovariantMeasure) -> SequentialResult:
     """Full sequential-measurement summary for a covariant measure."""
-    instr = covariant_instrument(ws, mm)
-    joint, defect = joint_observable(ws, instr, with_defect=True)
+    joint, defect = joint_observable(ws, mm, with_defect=True)
     n = ws.dim
     stack = joint.effects.reshape(n, n, n, n)
     marginal_a = Povm(ws.group.elements, stack.sum(axis=1))

@@ -16,6 +16,8 @@ from weylseq import (
     CovariantMeasure,
     Group,
     WeylSystem,
+    covariant_instrument,
+    instrument_to_json,
     matrix_to_json,
     measure_to_json,
 )
@@ -584,3 +586,58 @@ def test_invalid_instrument_exits_2(instrument_file, tmp_path, capsys, defect, m
     assert captured.out == ""
     assert captured.err.startswith("invariant failure: instrument in ")
     assert message in captured.err
+
+
+def _truncated_input(tmp_path, kind, change):
+    """argv of a command whose input file holds a matrix with one entry too
+    few or too many for its rows and cols."""
+    ws = WeylSystem(Group((2,)))
+    half = np.eye(2, dtype=complex) / 2
+    mm = CovariantMeasure.point_mass(ws, (0,), half)
+    obj, argv = {
+        "state": (matrix_to_json(half), ["cpso", "--state"]),
+        "measure": (measure_to_json(mm), ["sequential", "run", "--measure"]),
+        "instrument": (instrument_to_json(ws, covariant_instrument(ws, mm)),
+                       ["instrument", "verify", "--in"]),
+    }[kind]
+    mat = {"state": lambda o: o, "measure": lambda o: o["m"][0],
+           "instrument": lambda o: o["maps"][0]["choi"]}[kind](obj)
+    if change == "short":
+        mat["data"].pop()
+    else:
+        mat["data"].append([0.0, 0.0])
+    return argv + [write_json(tmp_path / f"{kind}.json", obj)]
+
+
+@pytest.mark.parametrize("change", ["short", "long"])
+@pytest.mark.parametrize("kind", ["state", "measure", "instrument"])
+def test_matrix_data_of_the_wrong_length_exits_1(kind, change, tmp_path, capsys):
+    assert main(_truncated_input(tmp_path, kind, change)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad ")
+    assert "entries, expected" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["state", "measure", "instrument"])
+def test_matrix_data_of_the_wrong_length_exits_1_without_traceback(kind, tmp_path):
+    proc = run_cli(*_truncated_input(tmp_path, kind, "short"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: bad ")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("moduli", ['"23"', "[2.5]", "[true]", "[2, 3.0]", '{"2": 3}'])
+def test_moduli_that_are_not_a_list_of_integers_exit_1(moduli, tmp_path, capsys):
+    # the file is a valid 2x3 measure but for the spelling of its moduli
+    mm = rand.covariant_measure(np.random.default_rng(0), Group((2, 3)))
+    text = json.dumps(measure_to_json(mm)).replace('"moduli": [2, 3]', f'"moduli": {moduli}')
+    path = tmp_path / "measure.json"
+    path.write_text(text)
+    assert main(["sequential", "run", "--measure", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad measure in ")
+    assert "not a list of integers" in captured.err

@@ -1,6 +1,7 @@
 """The closed-form instrument, the sector-expanded covariance defect, the
-stacked joint observable and the Weyl-operator gathers against the dense
-constructions in `oracles`."""
+stacked joint observable, the Weyl-operator gathers and the checks and
+joint observable read off the measure against the dense constructions in
+`oracles`."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylseq import (
+    CovariantMeasure,
     CpMap,
     Group,
     Instrument,
+    InvalidInstrumentError,
     Povm,
     WeylSystem,
     covariant_instrument,
@@ -218,3 +221,120 @@ def test_computations_never_build_the_dense_stacks(rng):
     weyl_relation_residual(ws)
     assert "translations" not in ws.__dict__
     assert "modulations" not in ws.__dict__
+
+
+# ==================== the measure as the working form ====================
+
+
+def check_measure_native(ws, rng):
+    """The joint read off the measure against the dense route through the
+    Choi stack, and each Choi spectrum against the densities' spectra."""
+    mm = rand.covariant_measure(rng, ws.group)
+    instr = covariant_instrument(ws, mm)
+    dense = joint_observable(ws, instr)
+    assert np.abs(joint_observable(ws, mm).effects - dense.effects).max() <= 1e-15
+    assert np.abs(run_sequential(ws, mm).joint.effects - dense.effects).max() <= 1e-15
+    union = np.sort(np.linalg.eigvalsh(mm.hermitian).reshape(-1))
+    for m in instr.maps:
+        assert np.abs(np.linalg.eigvalsh(m.choi) - union).max() <= 1e-14
+
+
+@pytest.mark.parametrize("moduli", LADDER)
+def test_measure_native_joint_and_spectra_match_the_dense_route(moduli, rng):
+    check_measure_native(WeylSystem(Group(moduli)), rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(moduli=GROUPS_UP_TO_12, seed=st.integers(0, 2**32 - 1))
+def test_measure_native_property(moduli, seed):
+    check_measure_native(WeylSystem(Group(moduli)), np.random.default_rng(seed))
+
+
+def unchecked_measure(group, m):
+    """A CovariantMeasure that skipped its own checks, as a caller could build it."""
+    mm = object.__new__(CovariantMeasure)
+    mm.group, mm.m = group, m
+    return mm
+
+
+def dense_instrument_error(ws, mm):
+    """The message of the full CpMap and Instrument checks on the dense stack."""
+    n = ws.dim
+    with pytest.raises(InvalidInstrumentError) as exc:
+        Instrument(ws.group.elements,
+                   tuple(CpMap(n, n, c) for c in dense_covariant_chois(ws, mm)))
+    return str(exc.value)
+
+
+def below_floor(rng, group):
+    """Density 1 gets the eigenvalue -1e-6, far below is_psd's floor."""
+    m = rand.covariant_measure(rng, group).m.copy()
+    w, q = np.linalg.eigh(m[1])
+    w[0] = -1e-6
+    m[1] = (q * w) @ q.conj().T
+    return m
+
+
+def excess_trace(rng, group):
+    """0.8 |e_y><e_y| at y = 0 and 1: map k takes |e_k><e_k| to trace 1.6,
+    and the reduced maps' diagonals, sums along i - a = y, tell i - a
+    from a - i on groups with elements of order > 2."""
+    m = np.zeros((group.order,) * 3, dtype=complex)
+    m[0, 0, 0] = m[1, 1, 1] = 0.8
+    return m
+
+
+def total_trace_off(rng, group):
+    """Trace 1 - 1e-6: each map is fine, their sum is not a channel."""
+    return rand.covariant_measure(rng, group).m * (1 - 1e-6)
+
+
+@pytest.mark.parametrize("make, message", [
+    (below_floor, "not positive semidefinite"),
+    (excess_trace, "map increases trace"),
+    (total_trace_off, "not trace preserving"),
+])
+@pytest.mark.parametrize("moduli", [(2,), (3,), (2, 2)])
+def test_checks_from_the_measure_raise_as_the_dense_checks(moduli, make, message, rng):
+    ws = WeylSystem(Group(moduli))
+    mm = unchecked_measure(ws.group, make(rng, ws.group))
+    with pytest.raises(InvalidInstrumentError) as exc:
+        covariant_instrument(ws, mm)
+    assert message in str(exc.value)
+    assert str(exc.value) == dense_instrument_error(ws, mm)
+
+
+def test_density_just_above_the_floor_is_accepted(rng):
+    ws = WeylSystem(Group((2, 2)))
+    m = rand.covariant_measure(rng, ws.group).m.copy()
+    w, q = np.linalg.eigh(m[1])
+    w[-1] += w[0] + 1e-11  # same trace
+    w[0] = -1e-11  # the floor is -1e-9 (1 + max|m|)
+    m[1] = (q * w) @ q.conj().T
+    mm = unchecked_measure(ws.group, m)
+    instr = covariant_instrument(ws, mm)
+    n = ws.dim
+    Instrument(ws.group.elements, tuple(CpMap(n, n, c) for c in chois_of(instr)))
+
+
+def test_total_trace_check_is_kept_for_a_valid_measure():
+    # 5e-10 passes the measure's own |trace - 1| <= 1e-9, but the total
+    # map's Frobenius defect is sqrt(16) * 5e-10 = 2e-9 > 1e-9
+    ws = WeylSystem(Group((16,)))
+    base = rand.covariant_measure(np.random.default_rng(5), ws.group).m
+    mm = CovariantMeasure(ws.group, base / np.trace(base.sum(axis=0)).real * (1 + 5e-10))
+    with pytest.raises(InvalidInstrumentError, match="not trace preserving"):
+        covariant_instrument(ws, mm)
+
+
+def test_run_sequential_eigensolves_no_matrix_larger_than_n(rng, monkeypatch):
+    ws = WeylSystem(Group((2, 3)))
+    mm = rand.covariant_measure(rng, ws.group)
+    sizes = []
+    for name in ("eigvalsh", "eigh", "eigvals", "eig", "svd"):
+        def spy(a, *args, _orig=getattr(np.linalg, name), **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return _orig(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    run_sequential(ws, mm)
+    assert sizes and max(sizes) == ws.dim

@@ -100,3 +100,9 @@ def test_json_roundtrip():
     assert Group.from_json(g.to_json()) == g
     with pytest.raises(GroupError):
         Group.from_json({"modulus": [2]})
+
+
+@pytest.mark.parametrize("moduli", ["23", [2.5], [True], [2, 3.0], (2, 3), None])
+def test_json_moduli_must_be_a_list_of_integers(moduli):
+    with pytest.raises(GroupError, match="not a list of integers"):
+        Group.from_json({"moduli": moduli})

@@ -4,11 +4,14 @@ from numpy.testing import assert_allclose
 
 from weylseq import (
     CovariantMeasure,
+    CpMap,
     Group,
     Instrument,
     NotCovariantError,
     WeylSystem,
+    associated_observable,
     check_map,
+    compose_sequential,
     covariant_instrument,
     cpso_from_state,
     generating_state,
@@ -224,3 +227,21 @@ def test_probability_law(ws3, rng):
         )
         assert probs.min() > -1e-12
         assert abs(probs.sum() - 1.0) < 1e-9
+
+
+# ==================== the literal sequential measurement ====================
+
+
+@pytest.mark.parametrize("moduli", [(2,), (3,), (4,), (2, 2), (5,), (6,), (2, 3)])
+def test_joint_is_the_literal_sequential_measurement(moduli, rng):
+    """Measure the covariant instrument, then the Lüders sharp-momentum
+    instrument rho -> B({chi}) rho B({chi}) on its output: the outcome
+    statistics of the composite are the joint observable."""
+    ws = WeylSystem(Group(moduli))
+    mm = rand.covariant_measure(rng, ws.group)
+    luders = Instrument(ws.group.elements,
+                        tuple(CpMap.from_kraus([b]) for b in ws.momentum_effects))
+    literal = associated_observable(compose_sequential(covariant_instrument(ws, mm), luders))
+    joint = run_sequential(ws, mm).joint
+    assert literal.outcomes == joint.outcomes == ws.phase_points
+    assert np.abs(joint.effects - literal.effects).max() <= 1e-13

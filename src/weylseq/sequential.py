@@ -19,9 +19,11 @@ phase-space observable generated by S = check(M'(G)), with the check map
 a linear, involutive, positivity- and trace-preserving reflection.
 
 Theorem 4.1 makes the measure the whole instrument, so `run_sequential`
-and `sequential_from_cpso` form the joint observable from m in O(n^5)
-(`joint_from_measure`); given an instrument, `joint_observable` takes the
-dense route through its Choi stack.
+and `sequential_from_cpso` pass the measure along with the instrument
+built from it, and the effects are read off m in O(n^5)
+(`joint_from_measure`); given only an instrument, `joint_observable`
+takes the dense O(n^6) route through its Choi stack. Either way the
+instrument's covariance is checked, in O(n^6).
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instruments import CovariantMeasure, covariant_instrument, require_covariant
+from .instruments import (
+    CovariantMeasure,
+    Instrument,
+    covariant_instrument,
+    require_covariant,
+)
 from .observables import Povm, ProbVector, cpso_from_state, ensure_state
 from .weyl import WeylSystem
 
@@ -48,23 +55,23 @@ class SequentialResult:
     covariance_defect: float  # verify_covariance of the instrument
 
 
-def joint_observable(ws: WeylSystem, source, with_defect: bool = False):
+def joint_observable(ws: WeylSystem, instr: Instrument, with_defect: bool = False,
+                     measure: CovariantMeasure | None = None):
     """Joint phase-space observable of instrument-then-sharp-momentum.
 
-    `source` is an Instrument, or a CovariantMeasure standing for its
-    closed-form instrument, whose effects are then read off the measure
-    (`joint_from_measure`). Outcomes are (x, chi) pairs, x-major. Raises
-    NotCovariantError when the instrument's covariance defect exceeds
-    1e-6. With `with_defect`, returns (observable, defect) so the caller
-    can report the defect without checking the instrument twice.
+    Outcomes are (x, chi) pairs, x-major. Raises NotCovariantError when
+    the instrument's covariance defect exceeds 1e-6. `measure`, when
+    given, must be the measure `instr` was built from; the effects are
+    then read off it (`joint_from_measure`) in place of the Choi stack.
+    With `with_defect`, returns (observable, defect) so the caller can
+    report the defect without checking the instrument twice.
     """
-    if isinstance(source, CovariantMeasure):
-        defect = require_covariant(ws, covariant_instrument(ws, source))
-        joint = joint_from_measure(ws, source)
+    defect = require_covariant(ws, instr)
+    if measure is not None:
+        joint = joint_from_measure(ws, measure)
     else:
-        defect = require_covariant(ws, source)
         n = ws.dim
-        chois = np.array([m.choi for m in source.maps]).reshape((n,) * 5)
+        chois = np.array([m.choi for m in instr.maps]).reshape((n,) * 5)
         # effect(x, chi)[j, i] = sum_{a,b} Choi_x[a, i, b, j] B({chi})[b, a];
         # C order keeps the sums over the effects, and so the reports, bitwise
         # as they were with one dual_apply per outcome
@@ -75,7 +82,8 @@ def joint_observable(ws: WeylSystem, source, with_defect: bool = False):
 
 def joint_from_measure(ws: WeylSystem, mm: CovariantMeasure) -> Povm:
     """`joint_observable` of covariant_instrument(ws, mm), read off the
-    measure. Choi_x[a, i, b, j] is nonzero only where i - a = j - b = y, so
+    measure without the covariance check, which the measure passes by
+    construction. Choi_x[a, i, b, j] is nonzero only where i - a = j - b = y, so
 
         effect(x, chi)[j, i] = sum_y m(y)[x - i + y, x - j + y] B({chi})[j - y, i - y]
 
@@ -135,12 +143,14 @@ def sequential_from_cpso(ws: WeylSystem, s: np.ndarray):
     """
     s = ensure_state(ws.require_dim(s, "generating state"))
     mm = CovariantMeasure.point_mass(ws, ws.group.zero(), check_map(ws, s))
-    return covariant_instrument(ws, mm), joint_observable(ws, mm)
+    instr = covariant_instrument(ws, mm)
+    return instr, joint_observable(ws, instr, measure=mm)
 
 
 def run_sequential(ws: WeylSystem, mm: CovariantMeasure) -> SequentialResult:
     """Full sequential-measurement summary for a covariant measure."""
-    joint, defect = joint_observable(ws, mm, with_defect=True)
+    instr = covariant_instrument(ws, mm)
+    joint, defect = joint_observable(ws, instr, with_defect=True, measure=mm)
     n = ws.dim
     stack = joint.effects.reshape(n, n, n, n)
     marginal_a = Povm(ws.group.elements, stack.sum(axis=1))

@@ -232,7 +232,8 @@ def check_measure_native(ws, rng):
     mm = rand.covariant_measure(rng, ws.group)
     instr = covariant_instrument(ws, mm)
     dense = joint_observable(ws, instr)
-    assert np.abs(joint_observable(ws, mm).effects - dense.effects).max() <= 1e-15
+    native = joint_observable(ws, instr, measure=mm)
+    assert np.abs(native.effects - dense.effects).max() <= 1e-15
     assert np.abs(run_sequential(ws, mm).joint.effects - dense.effects).max() <= 1e-15
     union = np.sort(np.linalg.eigvalsh(mm.hermitian).reshape(-1))
     for m in instr.maps:

@@ -183,6 +183,22 @@ def test_sequential_from_cpso_realizes_target(moduli, rng):
         assert np.abs(back - s).max() < 1e-10
 
 
+def test_one_instrument_is_built_and_gated_per_call(ws23, rng, monkeypatch):
+    import weylseq.sequential as sequential
+
+    built, gated = [], []
+    build, gate = sequential.covariant_instrument, sequential.require_covariant
+    monkeypatch.setattr(sequential, "covariant_instrument",
+                        lambda ws, mm: built.append(build(ws, mm)) or built[-1])
+    monkeypatch.setattr(sequential, "require_covariant",
+                        lambda ws, instr: gated.append(instr) or gate(ws, instr))
+    instr, _ = sequential_from_cpso(ws23, rand.state(rng, ws23.dim))
+    assert built == [instr] and gated == [instr]
+    built.clear(), gated.clear()
+    sequential.run_sequential(ws23, rand.covariant_measure(rng, ws23.group))
+    assert len(built) == 1 and gated == built
+
+
 def test_check_roundtrip_probe_and_state(ws23, rng):
     s = rand.state(rng, ws23.dim)
     omega = check_map(ws23, s)

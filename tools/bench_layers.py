@@ -1,17 +1,19 @@
 """Layer ladder: wall time and peak memory of the sequential pipeline's layers.
 
     python tools/bench_layers.py --label change
-    python tools/bench_layers.py --label parent --src OTHER_CHECKOUT/src --rev COMMIT
+    python tools/bench_layers.py --label parent --src OTHER_CHECKOUT/src
 
 Imports weylseq from --src (default: this checkout's src/) and, on each
-group of a fixed ladder, times four layers on one seeded measure:
+group of a fixed ladder, times these layers on one seeded measure:
 
 * ``covariant_instrument`` -- the closed-form instrument with its checks;
 * ``verify_covariance`` -- the covariance check of that instrument;
-* ``joint`` -- the joint observable as ``run_sequential`` forms it:
-  ``sequential.joint_from_measure`` where the source has it, else
-  ``joint_observable(ws, instrument)``, which also runs the covariance
-  check (the entry's ``joint_function`` says which);
+* ``joint`` -- ``joint_observable`` as ``run_sequential`` calls it on
+  the built instrument, covariance check included: with ``measure=`` where
+  the source has ``sequential.joint_from_measure``, else on the instrument
+  alone (the entry's ``joint_call`` says which);
+* ``joint_from_measure`` -- the effects read off the measure, without the
+  check, where the source has it;
 * ``run_sequential`` -- the whole pipeline.
 
 Wall time is the median of repeated calls (at least 3, more while a layer
@@ -20,7 +22,8 @@ more call above what was allocated before it, in this process only. For
 each layer the script fits the exponent p of time ~ n^p (and of memory)
 by least squares over the groups of order >= 8. The entry is stored under
 --label in BENCH_layers.json at the root of this checkout, keeping the
-other labels' entries.
+other labels' entries, with the git revision of --src (``git describe
+--always --dirty``), so measure a commit from a clean clone of it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "BENCH_layers.json"
 LADDER = ("2", "3", "4", "6", "8", "12", "16", "20", "2x3", "2x2x2", "3x4")
-LAYERS = ("covariant_instrument", "verify_covariance", "joint", "run_sequential")
+LAYERS = ("covariant_instrument", "verify_covariance", "joint", "joint_from_measure",
+          "run_sequential")
 FIT_MIN_ORDER = 8
 SEED = 2011
 
@@ -70,16 +74,17 @@ def _layer_calls(weylseq, ws, mm) -> tuple[dict, str]:
     from weylseq import sequential
 
     instr = weylseq.covariant_instrument(ws, mm)
-    if hasattr(sequential, "joint_from_measure"):
-        joint, joint_name = (lambda: sequential.joint_from_measure(ws, mm)), "joint_from_measure"
-    else:
-        joint, joint_name = (lambda: weylseq.joint_observable(ws, instr)), "joint_observable"
-    return {
+    calls = {
         "covariant_instrument": lambda: weylseq.covariant_instrument(ws, mm),
         "verify_covariance": lambda: weylseq.verify_covariance(ws, instr),
-        "joint": joint,
+        "joint": lambda: weylseq.joint_observable(ws, instr),
         "run_sequential": lambda: weylseq.run_sequential(ws, mm),
-    }, joint_name
+    }
+    if not hasattr(sequential, "joint_from_measure"):
+        return calls, "joint_observable(ws, instr)"
+    calls["joint"] = lambda: weylseq.joint_observable(ws, instr, measure=mm)
+    calls["joint_from_measure"] = lambda: sequential.joint_from_measure(ws, mm)
+    return calls, "joint_observable(ws, instr, measure=mm)"
 
 
 def _fit(points: list) -> float | None:
@@ -109,12 +114,12 @@ def measure_ladder(src: Path) -> dict:
     from weylseq import Group, WeylSystem, rand
 
     groups = {}
-    joint_name = None
+    joint_call = None
     for spec in LADDER:
         group = Group.from_spec(spec)
         ws = WeylSystem(group)
         mm = rand.covariant_measure(np.random.default_rng(SEED), group)
-        calls, joint_name = _layer_calls(weylseq, ws, mm)
+        calls, joint_call = _layer_calls(weylseq, ws, mm)
         row = {"order": group.order}
         for layer, fn in calls.items():
             row[f"{layer}_s"] = float(f"{_timed(fn):.4g}")
@@ -125,10 +130,11 @@ def measure_ladder(src: Path) -> dict:
     for layer in LAYERS:
         for kind in ("s", "peak_mib"):
             key = f"{layer}_{kind}"
-            exponents[key] = _fit([(r["order"], r[key]) for r in groups.values()
-                                   if r["order"] >= FIT_MIN_ORDER])
+            if key in row:
+                exponents[key] = _fit([(r["order"], r[key]) for r in groups.values()
+                                       if r["order"] >= FIT_MIN_ORDER])
     return {
-        "joint_function": joint_name,
+        "joint_call": joint_call,
         "groups": groups,
         "exponent_in_n": exponents,
         "numpy": np.__version__,
@@ -140,13 +146,11 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="entry name, e.g. parent or change")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the weylseq package to measure")
-    parser.add_argument("--rev", default=None,
-                        help="commit the source was taken from (default: git describe --dirty)")
     args = parser.parse_args(argv)
 
     entry = measure_ladder(args.src.resolve())
     entry = {
-        "rev": args.rev or _git_rev(args.src),
+        "rev": _git_rev(args.src),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
         **entry,

@@ -1,24 +1,13 @@
 """Sequential measurements of conjugate observables on finite abelian groups.
 
-The package builds Weyl systems for groups Z_{d_1} x ... x Z_{d_k},
-couples them to probes through the position-adding unitary, and exposes
-the resulting covariant instruments, their operator-valued-measure
-parametrization, and covariant phase-space observables, with every
-structural identity available as a numerical check.
+The package builds Weyl systems for groups Z_{d_1} x ... x Z_{d_k} and
+the covariant instruments of a probe coupled through the position-adding
+unitary, in closed form from their operator-valued measure, together
+with their joint and phase-space observables, with every structural
+identity available as a numerical check.
 """
 
-from .algebra import (
-    Tolerance,
-    approx_eq,
-    hermitian_eig,
-    is_psd,
-    kron,
-    matrix_from_json,
-    matrix_to_json,
-    partial_trace_first,
-    partial_trace_second,
-    trace_norm,
-)
+from .algebra import is_psd, matrix_from_json, matrix_to_json
 from .errors import (
     DimensionError,
     GroupError,
@@ -33,9 +22,6 @@ from .instruments import (
     CovariantMeasure,
     CpMap,
     Instrument,
-    associated_observable,
-    compose_sequential,
-    coupling_unitary,
     covariant_instrument,
     instrument_from_json,
     instrument_to_json,
@@ -77,25 +63,16 @@ from .spin import (
     tradeoff_check,
     unsharp_spin,
 )
-from .weyl import (
-    PhasePoint,
-    WeylSystem,
-    phase_point_product,
-    snag_residuals,
-    weyl_relation_residual,
-)
+from .weyl import WeylSystem, snag_residuals, weyl_relation_residual
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tolerance", "approx_eq", "hermitian_eig", "is_psd", "kron",
-    "matrix_from_json", "matrix_to_json", "partial_trace_first",
-    "partial_trace_second", "trace_norm",
+    "is_psd", "matrix_from_json", "matrix_to_json",
     "DimensionError", "GroupError", "HermiticityError",
     "InvalidInstrumentError", "InvalidMeasureError", "NotCovariantError", "WeylseqError",
     "Group",
-    "CovariantMeasure", "CpMap", "Instrument", "associated_observable",
-    "compose_sequential", "coupling_unitary", "covariant_instrument",
+    "CovariantMeasure", "CpMap", "Instrument", "covariant_instrument",
     "instrument_from_json", "instrument_to_json", "measure_from_json",
     "measure_to_json", "reconstruct_measure", "reconstruction_residual",
     "standard_instrument", "verify_covariance",
@@ -107,6 +84,5 @@ __all__ = [
     "noise_measures", "run_sequential", "sequential_from_cpso",
     "SpinFrame", "kronecker_factorization_check", "pauli_vector",
     "spin_povm", "tradeoff_check", "unsharp_spin",
-    "PhasePoint", "WeylSystem", "phase_point_product", "snag_residuals",
-    "weyl_relation_residual",
+    "WeylSystem", "snag_residuals", "weyl_relation_residual",
 ]

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import DimensionError, GroupError
+from .errors import GroupError
 from .group import Group
 
 
@@ -96,8 +96,7 @@ def instrument_from_json(obj: dict):
     except (KeyError, TypeError, GroupError) as exc:
         raise ValueError(f"malformed instrument object: {exc}") from exc
     n = group.order
-    if len(chois) != n:
-        raise DimensionError(f"expected {n} maps, got {len(chois)}")
+    _require_stack("instrument", "maps", "maps[{}].choi", chois, n, n * n)
     maps = tuple(CpMap(n, n, c) for c in chois)
     return group, Instrument(group.elements, maps)
 
@@ -115,7 +114,21 @@ def measure_from_json(obj: dict) -> CovariantMeasure:
         stacks = [matrix_from_json(mx) for mx in obj["m"]]
     except (KeyError, TypeError, GroupError) as exc:
         raise ValueError(f"malformed measure object: {exc}") from exc
+    _require_stack("measure", "m", "m[{}]", stacks, group.order, group.order)
     return CovariantMeasure(group, np.array(stacks))
+
+
+def _require_stack(what: str, key: str, entry: str, mats: list, n: int, side: int) -> None:
+    """A malformed `what` object, not an invalid one, unless its list `key`
+    holds n matrices of shape side x side: a stack of the wrong shape is
+    no measure or instrument of the group at all."""
+    if len(mats) != n:
+        raise ValueError(f'malformed {what} object: "{key}" has {len(mats)} entries, '
+                         f"expected {n}")
+    for k, t in enumerate(mats):
+        if t.shape != (side, side):
+            raise ValueError(f"malformed {what} object: {entry.format(k)} is "
+                             f"{t.shape[0]}x{t.shape[1]}, expected {side}x{side}")
 
 
 def dumps(obj) -> str:

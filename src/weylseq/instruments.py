@@ -25,7 +25,8 @@ and sum_x tr m(x) = 1:
     M'(y) = U_y^dag m(y) U_y.
 
 L and the readout are permutations, so summing over y leaves one term
-per Choi entry, and `covariant_instrument` fills the stack in O(n^5):
+per Choi entry (the literal construction is the test oracle in
+`tests/oracles.py`), and `covariant_instrument` fills the stack in O(n^5):
 
     Choi_k[a, i, b, j] = delta(i - a = j - b) m(i - a)[k - a, k - b].
 
@@ -53,15 +54,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, is_psd
+from .algebra import is_psd, slack
 from .errors import (DimensionError, InvalidInstrumentError, InvalidMeasureError,
                      NotCovariantError)
 from .group import Group
-from .observables import Povm, ensure_state
+from .observables import ensure_state
 from .weyl import WeylSystem
 
 COVARIANCE_GATE = 1e-6
-KRAUS_CUTOFF = 1e-12  # relative Choi eigenvalue cutoff of CpMap.kraus
 _NOT_CP = "Choi matrix is not positive semidefinite (map not CP)"
 
 
@@ -129,33 +129,6 @@ class CpMap:
     def _choi4(self) -> np.ndarray:
         return self.choi.reshape(self._shape4)
 
-    # ---------- construction ----------
-
-    @classmethod
-    def from_kraus(cls, kraus) -> "CpMap":
-        """Build from Kraus operators: choi = sum vec(K) vec(K)^dag."""
-        ks = [np.asarray(k, dtype=complex) for k in kraus]
-        if not ks:
-            raise ValueError("need at least one Kraus operator")
-        d_out, d_in = ks[0].shape
-        vecs = np.array([k.reshape(-1) for k in ks])
-        choi = np.einsum("ka,kb->ab", vecs, vecs.conj())
-        return cls(d_in, d_out, choi)
-
-    @classmethod
-    def identity(cls, dim: int) -> "CpMap":
-        return cls.from_kraus([np.eye(dim)])
-
-    def kraus(self) -> list:
-        """Kraus operators from the Choi eigendecomposition."""
-        w, q = np.linalg.eigh((self.choi + self.choi.conj().T) / 2)
-        out = []
-        top = w.max(initial=0.0)
-        for val, vec in zip(w, q.T):
-            if val > KRAUS_CUTOFF * max(top, 1.0):
-                out.append(np.sqrt(val) * vec.reshape(self.dim_out, self.dim_in))
-        return out
-
     # ---------- action ----------
 
     def apply(self, t: np.ndarray) -> np.ndarray:
@@ -175,16 +148,6 @@ class CpMap:
                 f"input shape {a.shape}, expected ({self.dim_out}, {self.dim_out})"
             )
         return np.einsum("aibj,ba->ji", self._choi4, a)
-
-    def compose(self, first: "CpMap") -> "CpMap":
-        """self after first, as a Choi matrix."""
-        if first.dim_out != self.dim_in:
-            raise DimensionError(
-                f"cannot compose: inner dims {first.dim_out} vs {self.dim_in}"
-            )
-        c = np.einsum("xayb,aibj->xiyj", self._choi4, first._choi4, optimize=True)
-        d = self.dim_out * first.dim_in
-        return CpMap(first.dim_in, self.dim_out, c.reshape(d, d))
 
 
 @dataclass
@@ -273,22 +236,6 @@ class CovariantMeasure:
 # ==================== construction ====================
 
 
-def coupling_unitary(ws: WeylSystem) -> np.ndarray:
-    """Permutation L with L(e_a (x) e_b) = e_a (x) e_{a+b}.
-
-    It intertwines the Weyl pairs as
-        L (U_x (x) U_y) = (U_x (x) U_{x+y}) L,
-        L (V_chi (x) V_gamma) = (V_{chi - gamma} (x) V_gamma) L.
-    """
-    n = ws.dim
-    add = ws.group.add_table
-    out = np.zeros((n * n, n * n))
-    for a in range(n):
-        for b in range(n):
-            out[a * n + add[a, b], a * n + b] = 1.0
-    return out
-
-
 def standard_instrument(ws: WeylSystem, omega: np.ndarray) -> Instrument:
     """Instrument of the position measurement model with probe state omega:
     the covariant instrument of the point mass at zero, since M'(0) = omega."""
@@ -325,8 +272,7 @@ def _check_closed_form(group: Group, herm: np.ndarray) -> None:
     from its Hermitian densities herm as the module docstring explains, in
     the same order and with the same errors."""
     _require_finite(herm)
-    floor = -DEFAULT_TOL.abs_eps * (1.0 + float(np.abs(herm).max(initial=0.0)))
-    if not np.linalg.eigvalsh(herm).min(initial=0.0) >= floor:
+    if not np.linalg.eigvalsh(herm).min(initial=0.0) >= -slack(herm):
         raise InvalidInstrumentError(_NOT_CP)
     sub = group.sub_table
     k, i, a = np.ix_(*(np.arange(group.order),) * 3)
@@ -334,25 +280,6 @@ def _check_closed_form(group: Group, herm: np.ndarray) -> None:
     for row in red:
         _require_trace_non_increasing(row - 1.0)
     _require_trace_preserving(float(np.linalg.norm(red.sum(axis=0) - 1.0)))
-
-
-def associated_observable(instr: Instrument) -> Povm:
-    """POVM recording only the outcome statistics of an instrument."""
-    eye = np.eye(instr.dim_out)
-    effects = np.array([m.dual_apply(eye) for m in instr.maps])
-    return Povm(instr.outcomes, effects)
-
-
-def compose_sequential(first: Instrument, second: Instrument) -> Instrument:
-    """Run `first`, then `second` on the output. Outcomes are pairs,
-    first-outcome major."""
-    outcomes = tuple((a, b) for a in first.outcomes for b in second.outcomes)
-    maps = tuple(
-        second.maps[j].compose(first.maps[i])
-        for i in range(len(first))
-        for j in range(len(second))
-    )
-    return Instrument(outcomes, maps)
 
 
 # ==================== covariance ====================

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Tolerance, is_psd, require_hermitian
+from .algebra import is_psd, require_hermitian
 from .errors import DimensionError
 from .weyl import WeylSystem, weyl_conjugates
 
@@ -85,10 +85,10 @@ class Povm:
         return len(self.outcomes)
 
 
-def ensure_state(rho: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def ensure_state(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD, unit trace within 1e-9."""
-    rho = require_hermitian(np.asarray(rho, dtype=complex), tol)
-    if not is_psd(rho, tol):
+    rho = require_hermitian(np.asarray(rho, dtype=complex))
+    if not is_psd(rho):
         raise ValueError("state is not positive semidefinite")
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > 1e-9:

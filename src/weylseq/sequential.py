@@ -18,12 +18,11 @@ phase-space observable generated by S = check(M'(G)), with the check map
 
 a linear, involutive, positivity- and trace-preserving reflection.
 
-Theorem 4.1 makes the measure the whole instrument, so `run_sequential`
-and `sequential_from_cpso` pass the measure along with the instrument
-built from it, and the effects are read off m in O(n^5)
-(`joint_from_measure`); given only an instrument, `joint_observable`
-takes the dense O(n^6) route through its Choi stack. Either way the
-instrument's covariance is checked, in O(n^6).
+Theorem 4.1 makes the measure the whole instrument, so `joint_observable`
+takes the measure along with the instrument built from it and reads the
+effects off m in O(n^5) (`joint_from_measure`), after checking the
+instrument's covariance in O(n^6). The dense route through the Choi
+stack is the test oracle.
 """
 
 from __future__ import annotations
@@ -55,29 +54,18 @@ class SequentialResult:
     covariance_defect: float  # verify_covariance of the instrument
 
 
-def joint_observable(ws: WeylSystem, instr: Instrument, with_defect: bool = False,
-                     measure: CovariantMeasure | None = None):
-    """Joint phase-space observable of instrument-then-sharp-momentum.
+def joint_observable(ws: WeylSystem, instr: Instrument,
+                     mm: CovariantMeasure) -> tuple[Povm, float]:
+    """Joint phase-space observable of instrument-then-sharp-momentum, as
+    (observable, covariance defect of `instr`).
 
-    Outcomes are (x, chi) pairs, x-major. Raises NotCovariantError when
-    the instrument's covariance defect exceeds 1e-6. `measure`, when
-    given, must be the measure `instr` was built from; the effects are
-    then read off it (`joint_from_measure`) in place of the Choi stack.
-    With `with_defect`, returns (observable, defect) so the caller can
-    report the defect without checking the instrument twice.
+    Outcomes are (x, chi) pairs, x-major. `mm` must be the measure `instr`
+    was built from: the effects are read off it (`joint_from_measure`)
+    once `instr` has passed the covariance gate, which raises
+    NotCovariantError when its defect exceeds 1e-6.
     """
     defect = require_covariant(ws, instr)
-    if measure is not None:
-        joint = joint_from_measure(ws, measure)
-    else:
-        n = ws.dim
-        chois = np.array([m.choi for m in instr.maps]).reshape((n,) * 5)
-        # effect(x, chi)[j, i] = sum_{a,b} Choi_x[a, i, b, j] B({chi})[b, a];
-        # C order keeps the sums over the effects, and so the reports, bitwise
-        # as they were with one dual_apply per outcome
-        effects = np.einsum("xaibj,cba->xcji", chois, ws.momentum_effects, order="C")
-        joint = Povm(ws.phase_points, effects.reshape(n * n, n, n))
-    return (joint, defect) if with_defect else joint
+    return joint_from_measure(ws, mm), defect
 
 
 def joint_from_measure(ws: WeylSystem, mm: CovariantMeasure) -> Povm:
@@ -144,13 +132,14 @@ def sequential_from_cpso(ws: WeylSystem, s: np.ndarray):
     s = ensure_state(ws.require_dim(s, "generating state"))
     mm = CovariantMeasure.point_mass(ws, ws.group.zero(), check_map(ws, s))
     instr = covariant_instrument(ws, mm)
-    return instr, joint_observable(ws, instr, measure=mm)
+    joint, _ = joint_observable(ws, instr, mm)
+    return instr, joint
 
 
 def run_sequential(ws: WeylSystem, mm: CovariantMeasure) -> SequentialResult:
     """Full sequential-measurement summary for a covariant measure."""
     instr = covariant_instrument(ws, mm)
-    joint, defect = joint_observable(ws, instr, with_defect=True, measure=mm)
+    joint, defect = joint_observable(ws, instr, mm)
     n = ws.dim
     stack = joint.effects.reshape(n, n, n, n)
     marginal_a = Povm(ws.group.elements, stack.sum(axis=1))

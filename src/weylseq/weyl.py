@@ -14,39 +14,12 @@ observable-level formulas are u-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
 from .errors import DimensionError
-from .group import Element, Group
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point (x, chi, u) of the finite Weyl-Heisenberg group."""
-
-    x: tuple
-    chi: tuple
-    u: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(int(v) for v in self.x))
-        object.__setattr__(self, "chi", tuple(int(v) for v in self.chi))
-        u = complex(self.u)
-        if abs(abs(u) - 1.0) > 1e-12:
-            raise ValueError(f"phase u must be unimodular, got |u| = {abs(u)}")
-        object.__setattr__(self, "u", u)
-
-
-def phase_point_product(group: Group, p: PhasePoint, q: PhasePoint) -> PhasePoint:
-    """Group law (x, chi, u)(y, gamma, v) = (x+y, chi*gamma, conj(chi(y)) u v)."""
-    x = group.add(p.x, q.x)
-    chi = group.add(p.chi, q.chi)
-    u = np.conj(group.pairing(p.chi, q.x)) * p.u * q.u
-    return PhasePoint(x, chi, u)
+from .group import Group
 
 
 class WeylSystem:
@@ -55,8 +28,8 @@ class WeylSystem:
     Each W = U_x V_chi is monomial: U_x permutes by the `add_table` and
     V_chi is the row chi of the `character_table` on the diagonal, so
     W A W^dag is a gather times a phase (`weyl_conjugates`). The dense
-    stacks are built on first access only, for `dump-weyl`,
-    `snag_residuals` and `weyl_op`.
+    stacks are built on first access only, for `dump-weyl` and
+    `snag_residuals`.
 
     Attributes
     ----------
@@ -82,35 +55,7 @@ class WeylSystem:
         v[:, idx, idx] = self.group.character_table
         return v
 
-    # ---------- operators ----------
-
-    def translation(self, x: Element) -> np.ndarray:
-        return self.translations[self.group.index(x)]
-
-    def modulation(self, chi: Element) -> np.ndarray:
-        return self.modulations[self.group.index(chi)]
-
-    def weyl_op(self, p: PhasePoint) -> np.ndarray:
-        """W(x, chi, u) = conj(u) * U_x V_chi."""
-        w = self.translation(p.x) @ self.modulation(p.chi)
-        return np.conj(p.u) * w
-
     # ---------- sharp observables ----------
-
-    def sharp_position(self, subset: Iterable[Element]) -> np.ndarray:
-        """Projection A(X) = sum_{x in X} |e_x><e_x|."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for x in subset:
-            i = self.group.index(x)
-            out[i, i] = 1.0
-        return out
-
-    def sharp_momentum(self, subset: Iterable[Element]) -> np.ndarray:
-        """Projection B(Y) = F^dag A(Y) F, the momentum observable."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for chi in subset:
-            out += self.momentum_effects[self.group.index(chi)]
-        return out
 
     @cached_property
     def position_effects(self) -> np.ndarray:

@@ -8,11 +8,174 @@ point W = U_x V_chi. Both cost O(n^9) and are meant for small groups.
 The rest multiply the dense U and V stacks where the package gathers:
 the Weyl relation, phase-space observables and their covariance, M'(G),
 the expansion identity and the measure reconstruction by Weyl probes.
+
+The measurement model itself is here too, since the package computes
+only its closed forms: the coupling L, partial traces, CP maps from and
+to Kraus operators and their composition, instruments run one after the
+other, Weyl operators of phase-space points and sharp projections.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from weylseq import CovariantMeasure, WeylSystem, coupling_unitary, kron
+from weylseq import CovariantMeasure, CpMap, DimensionError, Group, Instrument, Povm, WeylSystem
+
+KRAUS_CUTOFF = 1e-12  # relative Choi eigenvalue cutoff of kraus_operators
+
+
+# ==================== the measurement model ====================
+
+
+def coupling_unitary(ws: WeylSystem) -> np.ndarray:
+    """Permutation L with L(e_a (x) e_b) = e_a (x) e_{a+b}.
+
+    It intertwines the Weyl pairs as
+        L (U_x (x) U_y) = (U_x (x) U_{x+y}) L,
+        L (V_chi (x) V_gamma) = (V_{chi - gamma} (x) V_gamma) L.
+    """
+    n = ws.dim
+    add = ws.group.add_table
+    out = np.zeros((n * n, n * n))
+    for a in range(n):
+        for b in range(n):
+            out[a * n + add[a, b], a * n + b] = 1.0
+    return out
+
+
+def _check_product_shape(t: np.ndarray, dim1: int, dim2: int) -> None:
+    if t.shape != (dim1 * dim2, dim1 * dim2):
+        raise DimensionError(
+            f"matrix shape {t.shape} does not factor as ({dim1}*{dim2})^2"
+        )
+
+
+def partial_trace_second(t: np.ndarray, dim1: int, dim2: int) -> np.ndarray:
+    """Trace out the second tensor factor of a (dim1*dim2)-square matrix,
+    in np.kron's index convention (i1, i2) -> i1 * dim2 + i2."""
+    t = np.asarray(t)
+    _check_product_shape(t, dim1, dim2)
+    return np.einsum("ikjk->ij", t.reshape(dim1, dim2, dim1, dim2))
+
+
+def partial_trace_first(t: np.ndarray, dim1: int, dim2: int) -> np.ndarray:
+    """Trace out the first tensor factor of a (dim1*dim2)-square matrix."""
+    t = np.asarray(t)
+    _check_product_shape(t, dim1, dim2)
+    return np.einsum("kikj->ij", t.reshape(dim1, dim2, dim1, dim2))
+
+
+def trace_norm(t: np.ndarray) -> float:
+    """Sum of singular values, computed from the eigenvalues of t^dag t
+    with negative round-off clipped to zero."""
+    t = np.asarray(t, dtype=complex)
+    w = np.linalg.eigvalsh(t.conj().T @ t)
+    return float(np.sqrt(np.clip(w, 0.0, None)).sum())
+
+
+def from_kraus(kraus) -> CpMap:
+    """CP map with Kraus operators `kraus`: choi = sum vec(K) vec(K)^dag."""
+    ks = [np.asarray(k, dtype=complex) for k in kraus]
+    d_out, d_in = ks[0].shape
+    vecs = np.array([k.reshape(-1) for k in ks])
+    return CpMap(d_in, d_out, np.einsum("ka,kb->ab", vecs, vecs.conj()))
+
+
+def identity_map(dim: int) -> CpMap:
+    return from_kraus([np.eye(dim)])
+
+
+def kraus_operators(phi: CpMap) -> list:
+    """Kraus operators of phi from its Choi eigendecomposition."""
+    w, q = np.linalg.eigh((phi.choi + phi.choi.conj().T) / 2)
+    top = w.max(initial=0.0)
+    return [np.sqrt(val) * vec.reshape(phi.dim_out, phi.dim_in)
+            for val, vec in zip(w, q.T) if val > KRAUS_CUTOFF * max(top, 1.0)]
+
+
+def compose_maps(second: CpMap, first: CpMap) -> CpMap:
+    """second after first, as a Choi matrix."""
+    def choi4(phi):
+        return phi.choi.reshape(phi.dim_out, phi.dim_in, phi.dim_out, phi.dim_in)
+
+    c = np.einsum("xayb,aibj->xiyj", choi4(second), choi4(first), optimize=True)
+    d = second.dim_out * first.dim_in
+    return CpMap(first.dim_in, second.dim_out, c.reshape(d, d))
+
+
+def associated_observable(instr: Instrument) -> Povm:
+    """POVM recording only the outcome statistics of an instrument."""
+    eye = np.eye(instr.dim_out)
+    return Povm(instr.outcomes, np.array([m.dual_apply(eye) for m in instr.maps]))
+
+
+def compose_sequential(first: Instrument, second: Instrument) -> Instrument:
+    """Run `first`, then `second` on the output. Outcomes are pairs,
+    first-outcome major."""
+    outcomes = tuple((a, b) for a in first.outcomes for b in second.outcomes)
+    maps = tuple(compose_maps(s, f) for f in first.maps for s in second.maps)
+    return Instrument(outcomes, maps)
+
+
+# ==================== Weyl operators of phase-space points ====================
+
+
+@dataclass(frozen=True)
+class PhasePoint:
+    """A point (x, chi, u) of the finite Weyl-Heisenberg group."""
+
+    x: tuple
+    chi: tuple
+    u: complex = 1.0 + 0.0j
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", tuple(int(v) for v in self.x))
+        object.__setattr__(self, "chi", tuple(int(v) for v in self.chi))
+        u = complex(self.u)
+        if abs(abs(u) - 1.0) > 1e-12:
+            raise ValueError(f"phase u must be unimodular, got |u| = {abs(u)}")
+        object.__setattr__(self, "u", u)
+
+
+def phase_point_product(group: Group, p: PhasePoint, q: PhasePoint) -> PhasePoint:
+    """Group law (x, chi, u)(y, gamma, v) = (x+y, chi*gamma, conj(chi(y)) u v)."""
+    x = group.add(p.x, q.x)
+    chi = group.add(p.chi, q.chi)
+    u = np.conj(group.pairing(p.chi, q.x)) * p.u * q.u
+    return PhasePoint(x, chi, u)
+
+
+def translation(ws: WeylSystem, x) -> np.ndarray:
+    return ws.translations[ws.group.index(x)]
+
+
+def modulation(ws: WeylSystem, chi) -> np.ndarray:
+    return ws.modulations[ws.group.index(chi)]
+
+
+def weyl_op(ws: WeylSystem, p: PhasePoint) -> np.ndarray:
+    """W(x, chi, u) = conj(u) * U_x V_chi."""
+    return np.conj(p.u) * (translation(ws, p.x) @ modulation(ws, p.chi))
+
+
+def sharp_position(ws: WeylSystem, subset) -> np.ndarray:
+    """Projection A(X) = sum_{x in X} |e_x><e_x|."""
+    out = np.zeros((ws.dim, ws.dim), dtype=complex)
+    for x in subset:
+        i = ws.group.index(x)
+        out[i, i] = 1.0
+    return out
+
+
+def sharp_momentum(ws: WeylSystem, subset) -> np.ndarray:
+    """Projection B(Y) = F^dag A(Y) F, the momentum observable."""
+    out = np.zeros((ws.dim, ws.dim), dtype=complex)
+    for chi in subset:
+        out += ws.momentum_effects[ws.group.index(chi)]
+    return out
+
+
+# ==================== dense routes to the closed forms ====================
 
 
 def pointer_chois(ws: WeylSystem, probe: np.ndarray) -> np.ndarray:
@@ -39,7 +202,7 @@ def dense_covariant_chois(ws: WeylSystem, mm: CovariantMeasure) -> np.ndarray:
             continue
         uy = ws.translations[y]
         mprime = uy.conj().T @ mm.m[y] @ uy
-        rot = kron(uy.conj().T, eye)
+        rot = np.kron(uy.conj().T, eye)
         total += rot @ pointer_chois(ws, mprime) @ rot.conj().T
     return (total + total.conj().transpose(0, 2, 1)) / 2
 
@@ -53,7 +216,7 @@ def dense_covariance_defect(ws: WeylSystem, chois: np.ndarray) -> float:
     for i in range(n):
         for j in range(n):
             w = ws.translations[i] @ ws.modulations[j]
-            ww = kron(w, w.conj())
+            ww = np.kron(w, w.conj())
             moved = np.einsum("ab,kbc,dc->kad", ww, chois, ww.conj(), optimize=True)
             d4 = (chois[add[i]] - moved).reshape(n, n, n, n, n)  # [k, a, i, b, j]
             res = max(res, float(np.sqrt((np.abs(d4) ** 2).sum(axis=(1, 3))).max()))

@@ -7,19 +7,18 @@ per criterion, or `pytest -s` to also see the worst residuals.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylseq import (
     CovariantMeasure,
     Group,
     WeylSystem,
     check_map,
-    coupling_unitary,
     covariant_instrument,
     cpso_from_state,
     effect_span_dimension,
     generating_state,
-    joint_observable,
-    kron,
     kronecker_factorization_check,
     pauli_vector,
     reconstruct_measure,
@@ -36,6 +35,9 @@ from weylseq import (
     SpinFrame,
 )
 from weylseq import rand
+from weylseq.sequential import cpso_defect
+from conftest import GROUPS_UP_TO_12
+from oracles import coupling_unitary, dense_joint_effects
 
 GROUPS_ORDER_LE_6 = [(2,), (3,), (4,), (2, 2), (5,), (6,), (2, 3)]
 
@@ -67,14 +69,14 @@ def test_coupling_intertwiners():
         ell = coupling_unitary(ws)
         for i in range(g.order):
             for j in range(g.order):
-                lhs = ell @ kron(ws.translations[i], ws.translations[j])
-                rhs = kron(
+                lhs = ell @ np.kron(ws.translations[i], ws.translations[j])
+                rhs = np.kron(
                     ws.translations[i], ws.translations[g.add_table[i, j]]
                 ) @ ell
                 worst = max(worst, np.abs(lhs - rhs).max())
-                lhs = ell @ kron(ws.modulations[i], ws.modulations[j])
+                lhs = ell @ np.kron(ws.modulations[i], ws.modulations[j])
                 diff = g.index(g.sub(g.elements[i], g.elements[j]))
-                rhs = kron(ws.modulations[diff], ws.modulations[j]) @ ell
+                rhs = np.kron(ws.modulations[diff], ws.modulations[j]) @ ell
                 worst = max(worst, np.abs(lhs - rhs).max())
     assert _report("coupling-intertwiners (d<=4)", worst, 1e-12)
 
@@ -128,13 +130,10 @@ def test_joint_observable_is_phase_space_observable():
         ws = WeylSystem(g)
         for _ in range(20):
             mm = rand.covariant_measure(rng, g)
-            instr = covariant_instrument(ws, mm)
-            joint = joint_observable(ws, instr)
+            joint = dense_joint_effects(ws, covariant_instrument(ws, mm))
             s = generating_state(ws, mm)
             ref = cpso_from_state(ws, s)
-            worst_joint = max(
-                worst_joint, np.abs(joint.effects - ref.effects).max()
-            )
+            worst_joint = max(worst_joint, np.abs(joint - ref.effects).max())
 
             target = rand.state(rng, g.order)
             _, realized = sequential_from_cpso(ws, target)
@@ -245,3 +244,29 @@ def test_instrument_probability_law():
     ok_neg = _report("probability-positivity (9 instruments x 100 states)",
                      worst_neg, 1e-12)
     assert ok_sum and ok_neg
+
+
+@settings(max_examples=25, deadline=None)
+@given(moduli=GROUPS_UP_TO_12, seed=st.integers(0, 2**32 - 1))
+def test_paper_identities_on_random_groups(moduli, seed):
+    """Prop 4.2, Prop 4.3, Cor 4.4 and the Theorem 4.1 round trip on a
+    random group, measure and state, at the gates of the `verify` suites."""
+    ws = WeylSystem(Group(moduli))
+    rng = np.random.default_rng(seed)
+    mm = rand.covariant_measure(rng, ws.group)
+    result = run_sequential(ws, mm)
+    want_a = smear_position(ws, result.sigma).effects
+    want_b = smear_momentum(ws, result.tau).effects
+    assert np.abs(result.marginal_a.effects - want_a).max() <= 1e-9
+    assert np.abs(result.marginal_b.effects - want_b).max() <= 1e-9
+    assert cpso_defect(ws, result) <= 1e-9
+
+    instr = covariant_instrument(ws, mm)
+    assert verify_covariance(ws, instr) <= 1e-9
+    assert np.abs(reconstruct_measure(ws, instr).m - mm.m).max() <= 1e-8
+
+    s = rand.state(rng, ws.dim)
+    instr, joint = sequential_from_cpso(ws, s)
+    assert np.abs(joint.effects - cpso_from_state(ws, s).effects).max() <= 1e-9
+    back = generating_state(ws, reconstruct_measure(ws, instr))
+    assert np.abs(back - s).max() <= 1e-10

@@ -629,6 +629,46 @@ def test_matrix_data_of_the_wrong_length_exits_1_without_traceback(kind, tmp_pat
     assert proc.stdout == ""
 
 
+MISSHAPEN = {
+    "density_1x1": lambda o: o["m"][1].update(rows=1, cols=1, data=[[0.0, 0.0]]),
+    "three_densities": lambda o: o["m"].append(o["m"][1]),
+    "no_densities": lambda o: o["m"].clear(),
+    "one_map_too_few": lambda o: o["maps"].pop(),
+    "choi_2x2": lambda o: o["maps"][0].update(choi=matrix_to_json(np.eye(2) / 2)),
+}
+
+
+def _misshapen_input(tmp_path, case):
+    """argv of a command whose Z_2 measure or instrument file holds a stack
+    of the wrong length or a matrix of the wrong size."""
+    ws = WeylSystem(Group((2,)))
+    mm = CovariantMeasure.point_mass(ws, (0,), np.eye(2, dtype=complex) / 2)
+    if case.endswith(("densities", "1x1")):
+        obj, argv = measure_to_json(mm), ["sequential", "run", "--measure"]
+    else:
+        obj = instrument_to_json(ws, covariant_instrument(ws, mm))
+        argv = ["instrument", "verify", "--in"]
+    MISSHAPEN[case](obj)
+    return argv + [write_json(tmp_path / "input.json", obj)]
+
+
+@pytest.mark.parametrize("case", sorted(MISSHAPEN))
+def test_stack_of_the_wrong_shape_exits_1(case, tmp_path, capsys):
+    assert main(_misshapen_input(tmp_path, case)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad ")
+    assert captured.err.count("\n") == 1
+
+
+def test_stack_of_the_wrong_shape_exits_1_without_traceback(tmp_path):
+    proc = run_cli(*_misshapen_input(tmp_path, "three_densities"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: bad measure in ")
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("moduli", ['"23"', "[2.5]", "[true]", "[2, 3.0]", '{"2": 3}'])
 def test_moduli_that_are_not_a_list_of_integers_exit_1(moduli, tmp_path, capsys):
     # the file is a valid 2x3 measure but for the spelling of its moduli

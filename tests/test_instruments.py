@@ -11,16 +11,11 @@ from weylseq import (
     InvalidMeasureError,
     NotCovariantError,
     WeylSystem,
-    associated_observable,
-    compose_sequential,
-    coupling_unitary,
     covariant_instrument,
     instrument_from_json,
     instrument_to_json,
-    kron,
     measure_from_json,
     measure_to_json,
-    partial_trace_second,
     reconstruct_measure,
     reconstruction_residual,
     smear_position,
@@ -29,6 +24,16 @@ from weylseq import (
 )
 from weylseq import rand
 from weylseq.sequential import noise_measures
+from oracles import (
+    associated_observable,
+    compose_maps,
+    compose_sequential,
+    coupling_unitary,
+    from_kraus,
+    identity_map,
+    kraus_operators,
+    partial_trace_second,
+)
 
 
 def e_state(n, k):
@@ -41,7 +46,7 @@ def e_state(n, k):
 
 
 def test_cpmap_identity(rng):
-    phi = CpMap.identity(3)
+    phi = identity_map(3)
     t = rand.complex_matrix(rng, 3)
     assert np.abs(phi.apply(t) - t).max() < 1e-14
     assert np.abs(phi.dual_apply(t) - t).max() < 1e-14
@@ -54,14 +59,14 @@ def test_cpmap_rejects_non_cp():
         for j in range(2):
             e = np.zeros((2, 2), dtype=complex)
             e[i, j] = 1.0
-            choi += kron(e.T, e)
+            choi += np.kron(e.T, e)
     with pytest.raises(ValueError):
         CpMap(2, 2, choi)
 
 
 def test_cpmap_rejects_trace_increasing():
     with pytest.raises(ValueError):
-        CpMap.from_kraus([np.eye(2) * 1.1])
+        from_kraus([np.eye(2) * 1.1])
 
 
 def test_cpmap_kraus_roundtrip(rng):
@@ -69,8 +74,8 @@ def test_cpmap_kraus_roundtrip(rng):
     total = sum(k.conj().T @ k for k in ks)
     w = np.linalg.eigvalsh(total).max()
     ks = [k / np.sqrt(w * 1.01) for k in ks]
-    phi = CpMap.from_kraus(ks)
-    back = phi.kraus()
+    phi = from_kraus(ks)
+    back = kraus_operators(phi)
     t = rand.complex_matrix(rng, 2)
     want = sum(k @ t @ k.conj().T for k in ks)
     got = sum(k @ t @ k.conj().T for k in back)
@@ -80,7 +85,7 @@ def test_cpmap_kraus_roundtrip(rng):
 
 def test_cpmap_dual_adjointness(rng):
     ks = [rand.complex_matrix(rng, 3) * 0.2]
-    phi = CpMap.from_kraus(ks)
+    phi = from_kraus(ks)
     for _ in range(10):
         t = rand.complex_matrix(rng, 3)
         a = rand.complex_matrix(rng, 3)
@@ -92,9 +97,9 @@ def test_cpmap_dual_adjointness(rng):
 def test_cpmap_compose(rng):
     k1 = rand.complex_matrix(rng, 3) * 0.2
     k2 = rand.complex_matrix(rng, 3) * 0.2
-    phi1 = CpMap.from_kraus([k1])
-    phi2 = CpMap.from_kraus([k2])
-    comp = phi2.compose(phi1)
+    phi1 = from_kraus([k1])
+    phi2 = from_kraus([k2])
+    comp = compose_maps(phi2, phi1)
     t = rand.complex_matrix(rng, 3)
     assert np.abs(comp.apply(t) - phi2.apply(phi1.apply(t))).max() < 1e-12
 
@@ -126,13 +131,13 @@ def test_coupling_unitary_and_intertwining(moduli):
     assert np.abs(ell @ ell.T - np.eye(n * n)).max() == 0
     for i in range(n):
         for j in range(n):
-            lhs = ell @ kron(ws.translations[i], ws.translations[j])
-            rhs = kron(ws.translations[i],
+            lhs = ell @ np.kron(ws.translations[i], ws.translations[j])
+            rhs = np.kron(ws.translations[i],
                        ws.translations[g.add_table[i, j]]) @ ell
             assert np.abs(lhs - rhs).max() < 1e-12
-            lhs_v = ell @ kron(ws.modulations[i], ws.modulations[j])
+            lhs_v = ell @ np.kron(ws.modulations[i], ws.modulations[j])
             diff = g.index(g.sub(g.elements[i], g.elements[j]))
-            rhs_v = kron(ws.modulations[diff], ws.modulations[j]) @ ell
+            rhs_v = np.kron(ws.modulations[diff], ws.modulations[j]) @ ell
             assert np.abs(lhs_v - rhs_v).max() < 1e-12
 
 
@@ -159,9 +164,9 @@ def test_standard_instrument_matches_literal_formula(moduli, rng):
     eye = np.eye(n)
     for _ in range(5):
         rho = rand.state(rng, n)
-        coupled = ell @ kron(rho, omega) @ ell.conj().T
+        coupled = ell @ np.kron(rho, omega) @ ell.conj().T
         for k in range(n):
-            proj = kron(eye, ws.position_effects[k])
+            proj = np.kron(eye, ws.position_effects[k])
             want = partial_trace_second(proj @ coupled, n, n)
             got = instr.maps[k].apply(rho)
             assert np.abs(got - want).max() < 1e-12
@@ -223,7 +228,7 @@ def test_covariant_instrument_matches_normalized_translates(ws3, rng):
         uy = ws3.translations[y]
         omega_y = uy.conj().T @ mm.m[y] @ uy / nu
         part = standard_instrument(ws3, omega_y)
-        rot = kron(uy.conj().T, eye)
+        rot = np.kron(uy.conj().T, eye)
         for k in range(n):
             total[k] += nu * (rot @ part.maps[k].choi @ rot.conj().T)
     for k in range(n):
@@ -253,10 +258,10 @@ def test_measure_validation(ws2):
 
 
 def test_instrument_validation(ws2):
-    half = CpMap.from_kraus([np.eye(2) / np.sqrt(2)])
+    half = from_kraus([np.eye(2) / np.sqrt(2)])
     Instrument(((0,), (1,)), (half, half))
     with pytest.raises(ValueError):
-        Instrument(((0,), (1,)), (half, CpMap.from_kraus([np.eye(2) * 0.1])))
+        Instrument(((0,), (1,)), (half, from_kraus([np.eye(2) * 0.1])))
 
 
 def test_label_swap_stays_covariant(ws2):

@@ -4,14 +4,11 @@ from numpy.testing import assert_allclose
 
 from weylseq import (
     CovariantMeasure,
-    CpMap,
     Group,
     Instrument,
     NotCovariantError,
     WeylSystem,
-    associated_observable,
     check_map,
-    compose_sequential,
     covariant_instrument,
     cpso_from_state,
     generating_state,
@@ -24,12 +21,12 @@ from weylseq import (
     smear_momentum,
     smear_position,
     standard_instrument,
-    trace_norm,
     verify_covariance,
     verify_cpso_covariance,
 )
 from weylseq import rand
-from weylseq.sequential import cpso_defect, translated_total_density
+from weylseq.sequential import cpso_defect, joint_from_measure, translated_total_density
+from oracles import associated_observable, compose_sequential, from_kraus, trace_norm
 
 
 def e_state(n, k):
@@ -100,8 +97,9 @@ def test_noise_measures_match_probe_statistics(ws3, rng):
 
 
 def test_joint_observable_point_probe(ws2):
-    instr = standard_instrument(ws2, e_state(2, 0))
-    joint = joint_observable(ws2, instr)
+    mm = CovariantMeasure.point_mass(ws2, (0,), e_state(2, 0))
+    joint, defect = joint_observable(ws2, covariant_instrument(ws2, mm), mm)
+    assert defect == 0.0
     # effect(x, chi) = (1/2)|e_x><e_x| for every chi
     for x in range(2):
         for c in range(2):
@@ -116,7 +114,7 @@ def test_joint_observable_rejects_non_covariant(ws2):
     i2 = standard_instrument(ws2, om2)
     hybrid = Instrument(i1.outcomes, (i1.maps[0], i2.maps[1]))
     with pytest.raises(NotCovariantError):
-        joint_observable(ws2, hybrid)
+        joint_observable(ws2, hybrid, CovariantMeasure.point_mass(ws2, (0,), om1))
 
 
 def test_joint_observable_reports_the_defect_it_gated(ws2):
@@ -126,10 +124,11 @@ def test_joint_observable_reports_the_defect_it_gated(ws2):
     i1 = standard_instrument(ws2, om1)
     i2 = standard_instrument(ws2, om2)
     hybrid = Instrument(i1.outcomes, (i1.maps[0], i2.maps[1]))
-    joint, defect = joint_observable(ws2, hybrid, with_defect=True)
+    mm = CovariantMeasure.point_mass(ws2, (0,), om1)
+    joint, defect = joint_observable(ws2, hybrid, mm)
     assert defect == verify_covariance(ws2, hybrid)
     assert 1e-9 < defect < 1e-7
-    assert np.array_equal(joint.effects, joint_observable(ws2, hybrid).effects)
+    assert np.array_equal(joint.effects, joint_from_measure(ws2, mm).effects)
 
 
 def test_run_sequential_records_covariance_defect(ws3, rng):
@@ -225,8 +224,7 @@ def test_same_total_density_same_joint(ws2, rng):
 def test_sequential_disturbance_visible(ws2):
     # measuring first genuinely disturbs momentum: with a sharp probe the
     # momentum margin of the joint is uniform even on a sharp momentum state
-    instr = standard_instrument(ws2, e_state(2, 0))
-    joint = joint_observable(ws2, instr)
+    joint = run_sequential(ws2, CovariantMeasure.point_mass(ws2, (0,), e_state(2, 0))).joint
     plus = np.full((2, 2), 0.5, dtype=complex)  # B({0}) eigenstate
     dist = measure(joint, plus)
     marg_b = dist.weights.reshape(2, 2).sum(axis=0)
@@ -256,7 +254,7 @@ def test_joint_is_the_literal_sequential_measurement(moduli, rng):
     ws = WeylSystem(Group(moduli))
     mm = rand.covariant_measure(rng, ws.group)
     luders = Instrument(ws.group.elements,
-                        tuple(CpMap.from_kraus([b]) for b in ws.momentum_effects))
+                        tuple(from_kraus([b]) for b in ws.momentum_effects))
     literal = associated_observable(compose_sequential(covariant_instrument(ws, mm), luders))
     joint = run_sequential(ws, mm).joint
     assert literal.outcomes == joint.outcomes == ws.phase_points

@@ -8,12 +8,8 @@ group of a fixed ladder, times these layers on one seeded measure:
 
 * ``covariant_instrument`` -- the closed-form instrument with its checks;
 * ``verify_covariance`` -- the covariance check of that instrument;
-* ``joint`` -- ``joint_observable`` as ``run_sequential`` calls it on
-  the built instrument, covariance check included: with ``measure=`` where
-  the source has ``sequential.joint_from_measure``, else on the instrument
-  alone (the entry's ``joint_call`` says which);
-* ``joint_from_measure`` -- the effects read off the measure, without the
-  check, where the source has it;
+* ``joint_from_measure`` -- the joint observable's effects read off the
+  measure, without the check (``joint_observable`` is exactly these two);
 * ``run_sequential`` -- the whole pipeline.
 
 Wall time is the median of repeated calls (at least 3, more while a layer
@@ -43,7 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "BENCH_layers.json"
 LADDER = ("2", "3", "4", "6", "8", "12", "16", "20", "2x3", "2x2x2", "3x4")
-LAYERS = ("covariant_instrument", "verify_covariance", "joint", "joint_from_measure",
+LAYERS = ("covariant_instrument", "verify_covariance", "joint_from_measure",
           "run_sequential")
 FIT_MIN_ORDER = 8
 SEED = 2011
@@ -70,23 +66,6 @@ def _peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
-def _layer_calls(weylseq, ws, mm) -> tuple[dict, str]:
-    from weylseq import sequential
-
-    instr = weylseq.covariant_instrument(ws, mm)
-    calls = {
-        "covariant_instrument": lambda: weylseq.covariant_instrument(ws, mm),
-        "verify_covariance": lambda: weylseq.verify_covariance(ws, instr),
-        "joint": lambda: weylseq.joint_observable(ws, instr),
-        "run_sequential": lambda: weylseq.run_sequential(ws, mm),
-    }
-    if not hasattr(sequential, "joint_from_measure"):
-        return calls, "joint_observable(ws, instr)"
-    calls["joint"] = lambda: weylseq.joint_observable(ws, instr, measure=mm)
-    calls["joint_from_measure"] = lambda: sequential.joint_from_measure(ws, mm)
-    return calls, "joint_observable(ws, instr, measure=mm)"
-
-
 def _fit(points: list) -> float | None:
     """Least-squares slope of log(value) against log(n)."""
     pts = [(math.log(n), math.log(v)) for n, v in points if v > 0]
@@ -110,16 +89,22 @@ def _git_rev(src: Path) -> str | None:
 def measure_ladder(src: Path) -> dict:
     sys.path.insert(0, str(src))
     import numpy as np
-    import weylseq
-    from weylseq import Group, WeylSystem, rand
+    from weylseq import (Group, WeylSystem, covariant_instrument, rand, run_sequential,
+                         verify_covariance)
+    from weylseq.sequential import joint_from_measure
 
     groups = {}
-    joint_call = None
     for spec in LADDER:
         group = Group.from_spec(spec)
         ws = WeylSystem(group)
         mm = rand.covariant_measure(np.random.default_rng(SEED), group)
-        calls, joint_call = _layer_calls(weylseq, ws, mm)
+        instr = covariant_instrument(ws, mm)
+        calls = {
+            "covariant_instrument": lambda: covariant_instrument(ws, mm),
+            "verify_covariance": lambda: verify_covariance(ws, instr),
+            "joint_from_measure": lambda: joint_from_measure(ws, mm),
+            "run_sequential": lambda: run_sequential(ws, mm),
+        }
         row = {"order": group.order}
         for layer, fn in calls.items():
             row[f"{layer}_s"] = float(f"{_timed(fn):.4g}")
@@ -130,11 +115,9 @@ def measure_ladder(src: Path) -> dict:
     for layer in LAYERS:
         for kind in ("s", "peak_mib"):
             key = f"{layer}_{kind}"
-            if key in row:
-                exponents[key] = _fit([(r["order"], r[key]) for r in groups.values()
-                                       if r["order"] >= FIT_MIN_ORDER])
+            exponents[key] = _fit([(r["order"], r[key]) for r in groups.values()
+                                   if r["order"] >= FIT_MIN_ORDER])
     return {
-        "joint_call": joint_call,
         "groups": groups,
         "exponent_in_n": exponents,
         "numpy": np.__version__,

@@ -12,11 +12,6 @@ def complex_matrix(rng: np.random.Generator, n: int):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-def hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = complex_matrix(rng, n)
-    return (a + a.conj().T) / 2
-
-
 def unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     q, r = np.linalg.qr(complex_matrix(rng, n))
     d = np.diagonal(r)

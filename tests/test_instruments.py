@@ -133,7 +133,7 @@ def test_coupling_unitary_and_intertwining(moduli):
         for j in range(n):
             lhs = ell @ np.kron(ws.translations[i], ws.translations[j])
             rhs = np.kron(ws.translations[i],
-                       ws.translations[g.add_table[i, j]]) @ ell
+                          ws.translations[g.add_table[i, j]]) @ ell
             assert np.abs(lhs - rhs).max() < 1e-12
             lhs_v = ell @ np.kron(ws.modulations[i], ws.modulations[j])
             diff = g.index(g.sub(g.elements[i], g.elements[j]))

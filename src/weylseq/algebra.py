@@ -2,9 +2,8 @@
 
 Matrices are numpy arrays of complex128 in row-major layout. Everything
 here is a thin, validated layer over numpy so the rest of the package can
-assume square, finite, well-shaped inputs. One absolute tolerance,
-ABS_EPS, scaled by the largest entry (`slack`), decides Hermiticity and
-positivity everywhere.
+assume square, finite, well-shaped inputs. The checks take one matrix or
+a stack (..., n, n) and treat each matrix of a stack as they treat it alone.
 """
 
 from __future__ import annotations
@@ -13,13 +12,14 @@ import numpy as np
 
 from .errors import DimensionError, HermiticityError
 
-ABS_EPS = 1e-9
+ABS_EPS = 1e-9  # allowance of every validation: traces, identity defects, `slack`
+RESIDUAL_GATE = 1e-9  # default gate of the residuals of the paper's identities
 
 
-def slack(t: np.ndarray) -> float:
+def slack(t: np.ndarray) -> np.ndarray:
     """The allowance ABS_EPS * (1 + max|t|) of the Hermiticity and
-    positivity checks."""
-    return ABS_EPS * (1.0 + float(np.abs(t).max(initial=0.0)))
+    positivity checks, one per matrix of a stack."""
+    return ABS_EPS * (1.0 + np.abs(t).max(axis=(-2, -1), initial=0.0))
 
 
 def as_cmatrix(t) -> np.ndarray:
@@ -32,31 +32,32 @@ def as_cmatrix(t) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(t: np.ndarray) -> float:
-    t = np.asarray(t)
-    return float(np.abs(t - t.conj().T).max()) if t.size else 0.0
-
-
 def require_hermitian(t: np.ndarray) -> np.ndarray:
-    """Return t unchanged if it is Hermitian within `slack`, else raise."""
+    """Return t as a complex array if each matrix is Hermitian within its
+    `slack`, else raise for the first that is not, at `index` in the stack."""
     t = np.asarray(t, dtype=complex)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+    if t.ndim < 2 or t.shape[-1] != t.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {t.shape}")
     bound = slack(t)
-    defect = hermiticity_defect(t)
-    if defect > bound:
-        raise HermiticityError(
-            f"matrix is not Hermitian: defect {defect:.3e} > {bound:.3e}"
-        )
+    defect = np.abs(t - t.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    bad = defect > bound
+    if bad.any():
+        k = int(np.argmax(bad))
+        exc = HermiticityError(
+            f"matrix is not Hermitian: defect {defect.flat[k]:.3e} > {bound.flat[k]:.3e}")
+        exc.index = k
+        raise exc
     return t
 
 
-def is_psd(t: np.ndarray) -> bool:
-    """Positive semidefiniteness, allowing eigenvalues down to -slack(t).
-    Raises HermiticityError for non-Hermitian input."""
+def is_psd(t: np.ndarray):
+    """Positive semidefiniteness, allowing eigenvalues down to -slack: a
+    bool for one matrix, a bool array over a stack, from one batched
+    eigensolve. Raises HermiticityError for non-Hermitian input."""
     t = require_hermitian(t)
-    w = np.linalg.eigvalsh((t + t.conj().T) / 2.0)
-    return bool(w.min(initial=0.0) >= -slack(t))
+    w = np.linalg.eigvalsh((t + t.conj().swapaxes(-1, -2)) / 2.0)
+    ok = w.min(axis=-1, initial=0.0) >= -slack(t)
+    return bool(ok) if t.ndim == 2 else ok
 
 
 # Re-exported from the JSON codec, which imports this module.

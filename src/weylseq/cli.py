@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rand
+from .algebra import RESIDUAL_GATE
 from .codec import (JSONDecodeError, dump, instrument_from_json, instrument_to_json,
                     loads, matrix_from_json, matrix_to_json, measure_from_json,
                     measure_to_json, povm_to_json, prob_to_json)
@@ -44,7 +45,6 @@ from .suites import SUITE_NAMES, run_suite
 from .weyl import WeylSystem
 
 DEFAULT_SEED = 42
-DEFAULT_GATE = 1e-9
 # Largest dense Weyl system a --group may ask for: the U and V stacks, which
 # only dump-weyl and the verify snag check still build, take 2 * 16 * n^3
 # bytes, the index, character and Fourier tables 40 * n^2.
@@ -114,7 +114,7 @@ def _parse_group(spec: str) -> Group:
 
 def _check_tol(args) -> None:
     """Reject a --tol that cannot gate anything."""
-    tol = getattr(args, "tol", DEFAULT_GATE)
+    tol = getattr(args, "tol", RESIDUAL_GATE)
     if not (math.isfinite(tol) and tol >= 0):
         raise _InputError(f"--tol must be finite and non-negative, got {tol}")
 
@@ -195,12 +195,12 @@ def cmd_sequential_run(args) -> int:
 
 
 def _export_csv(csv_dir: Path, result, rho: np.ndarray | None) -> None:
+    dist = measure(result.joint, rho) if rho is not None else None  # before any file
     csv_dir.mkdir(parents=True, exist_ok=True)
     for name, pv in (("sigma", result.sigma), ("tau", result.tau)):
         _write_csv(csv_dir / f"{name}.csv", ["outcome", "probability"],
                    ([_label_text(o), repr(float(w))] for o, w in zip(pv.outcomes, pv.weights)))
-    if rho is not None:
-        dist = measure(result.joint, rho)
+    if dist is not None:
         _write_csv(csv_dir / "joint.csv", ["position", "momentum", "probability"],
                    ([_label_text(x), _label_text(chi), repr(float(w))]
                     for (x, chi), w in zip(dist.outcomes, dist.weights)))
@@ -360,7 +360,7 @@ class _Parser(argparse.ArgumentParser):
 
 _SHARED_OPTIONS = {
     "--group": dict(help="group spec like 2 or 2x3 (default 2 where one is needed)"),
-    "--tol": dict(type=float, default=DEFAULT_GATE,
+    "--tol": dict(type=float, default=RESIDUAL_GATE,
                   help="residual gate, finite and >= 0 (default %(default)g)"),
     "--seed": dict(type=int, default=DEFAULT_SEED),
     "--out": dict(help="write JSON here, not stdout"),

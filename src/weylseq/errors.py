@@ -10,7 +10,8 @@ class DimensionError(WeylseqError):
 
 
 class HermiticityError(WeylseqError):
-    """A matrix that must be Hermitian is not, beyond tolerance."""
+    """A matrix that must be Hermitian is not, beyond tolerance; `index` is
+    its position in the stack that was checked."""
 
 
 class GroupError(WeylseqError):

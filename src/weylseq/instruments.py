@@ -54,9 +54,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import is_psd, slack
-from .errors import (DimensionError, InvalidInstrumentError, InvalidMeasureError,
-                     NotCovariantError)
+from .algebra import ABS_EPS, is_psd, slack
+from .errors import (DimensionError, HermiticityError, InvalidInstrumentError,
+                     InvalidMeasureError, NotCovariantError)
 from .group import Group
 from .observables import ensure_state
 from .weyl import WeylSystem
@@ -72,7 +72,7 @@ def _require_finite(c: np.ndarray) -> None:
 
 def _require_trace_non_increasing(excess: np.ndarray) -> None:
     """excess: eigenvalues of a map's Hermitian reduced Choi matrix minus 1."""
-    if excess.max(initial=0.0) > 1e-9:
+    if excess.max(initial=0.0) > ABS_EPS:
         raise InvalidInstrumentError(
             f"map increases trace: max eigenvalue excess {excess.max():.3e}"
         )
@@ -80,7 +80,7 @@ def _require_trace_non_increasing(excess: np.ndarray) -> None:
 
 def _require_trace_preserving(defect: float) -> None:
     """defect: Frobenius distance of an instrument's total dual map of 1 from 1."""
-    if defect > 1e-9:
+    if defect > ABS_EPS:
         raise InvalidInstrumentError(
             f"total map is not trace preserving: defect {defect:.3e}"
         )
@@ -203,17 +203,16 @@ class CovariantMeasure:
             )
         if not np.all(np.isfinite(m)):
             raise InvalidMeasureError("measure has non-finite entries")
-        for k in range(n):
-            try:
-                ok = is_psd(m[k])
-            except Exception as exc:
-                raise InvalidMeasureError(f"density {k}: {exc}") from exc
-            if not ok:
-                raise InvalidMeasureError(
-                    f"density at outcome {k} is not positive semidefinite"
-                )
+        try:
+            ok = is_psd(m)
+        except HermiticityError as exc:
+            raise InvalidMeasureError(f"density {exc.index}: {exc}") from exc
+        if not ok.all():
+            raise InvalidMeasureError(
+                f"density at outcome {np.argmin(ok)} is not positive semidefinite"
+            )
         total = float(np.trace(m.sum(axis=0)).real)
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > ABS_EPS:
             raise InvalidMeasureError(
                 f"measure not normalized: total trace {total!r}"
             )
@@ -272,7 +271,7 @@ def _check_closed_form(group: Group, herm: np.ndarray) -> None:
     from its Hermitian densities herm as the module docstring explains, in
     the same order and with the same errors."""
     _require_finite(herm)
-    if not np.linalg.eigvalsh(herm).min(initial=0.0) >= -slack(herm):
+    if not np.linalg.eigvalsh(herm).min(initial=0.0) >= -slack(herm).max():  # slack(Choi_k)
         raise InvalidInstrumentError(_NOT_CP)
     sub = group.sub_table
     k, i, a = np.ix_(*(np.arange(group.order),) * 3)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import is_psd, require_hermitian
-from .errors import DimensionError
+from .algebra import ABS_EPS, is_psd
+from .errors import DimensionError, WeylseqError
 from .weyl import WeylSystem, weyl_conjugates
 
 PROB_FLOOR = -1e-12
@@ -40,10 +40,10 @@ class ProbVector:
                 f"{len(self.outcomes)} outcomes but {len(w)} weights"
             )
         if w.min(initial=0.0) < PROB_FLOOR:
-            raise ValueError(f"negative probability {w.min():.3e}")
+            raise WeylseqError(f"negative probability {w.min():.3e}")
         w = np.clip(w, 0.0, None)
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {w.sum()!r}, not 1")
+        if abs(w.sum() - 1.0) > ABS_EPS:
+            raise WeylseqError(f"probabilities sum to {float(w.sum())!r}, not 1")
         self.weights = w
 
     def __len__(self) -> int:
@@ -67,14 +67,14 @@ class Povm:
                 f"{len(self.outcomes)} outcomes but {e.shape[0]} effects"
             )
         if not np.all(np.isfinite(e)):
-            raise ValueError("effects contain non-finite entries")
-        for k in range(e.shape[0]):
-            if not is_psd(e[k]):
-                raise ValueError(f"effect {k} is not positive semidefinite")
+            raise WeylseqError("effects contain non-finite entries")
+        ok = is_psd(e)
+        if not ok.all():
+            raise WeylseqError(f"effect {np.argmin(ok)} is not positive semidefinite")
         total = e.sum(axis=0)
         defect = float(np.linalg.norm(total - np.eye(e.shape[1])))
-        if defect > 1e-9:
-            raise ValueError(f"effects sum to identity defect {defect:.3e}")
+        if defect > ABS_EPS:
+            raise WeylseqError(f"effects sum to identity defect {defect:.3e}")
         self.effects = e
 
     @property
@@ -86,13 +86,15 @@ class Povm:
 
 
 def ensure_state(rho: np.ndarray) -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD, unit trace within 1e-9."""
-    rho = require_hermitian(np.asarray(rho, dtype=complex))
+    """Validate a density matrix: Hermitian, PSD, unit trace within ABS_EPS."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2:
+        raise DimensionError(f"expected a square matrix, got shape {rho.shape}")
     if not is_psd(rho):
-        raise ValueError("state is not positive semidefinite")
+        raise WeylseqError("state is not positive semidefinite")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-9:
-        raise ValueError(f"state trace is {tr!r}, not 1")
+    if abs(tr - 1.0) > ABS_EPS:
+        raise WeylseqError(f"state trace is {tr!r}, not 1")
     return rho
 
 

@@ -77,11 +77,6 @@ class SpinFrame:
         minus = self.b_op @ plus
         return np.column_stack([plus, minus])
 
-    def to_frame(self, t: np.ndarray) -> np.ndarray:
-        """Matrix of t in the measurement basis."""
-        p = self.basis
-        return p.conj().T @ np.asarray(t, dtype=complex) @ p
-
 
 def spin_povm(axis, sharpness: float = 1.0) -> Povm:
     """Two-outcome spin observable (1/2)(I +/- sharpness * axis . sigma)."""
@@ -116,12 +111,8 @@ def tradeoff_check(frame: SpinFrame, omega: np.ndarray) -> float:
     return s * s + t * t
 
 
-def kronecker_factorization_check(
-    frame: SpinFrame,
-    omega: np.ndarray,
-    rho: np.ndarray,
-    basis: np.ndarray | None = None,
-) -> float:
+def kronecker_factorization_check(frame: SpinFrame, omega: np.ndarray,
+                                  rho: np.ndarray) -> float:
     """Entrywise factorization defect of the measurement model.
 
     In the frame basis the instrument output at pointer value k satisfies
@@ -129,13 +120,13 @@ def kronecker_factorization_check(
         <e_i| I_k(rho) |e_j> = <e_i| rho |e_j> * <e_i| U_k omega U_k |e_j>
 
     with U_0 = 1 and U_1 = b . sigma. The left side runs the two-point
-    instrument machinery in the given basis, the right side conjugates by
+    instrument machinery in frame.basis, the right side conjugates by
     b . sigma directly; the returned value is the largest entry mismatch.
-    Passing a basis that ignores the phase convention breaks the identity.
+    A basis that ignores the phase convention breaks the identity.
     """
     omega = ensure_state(np.asarray(omega, dtype=complex))
     rho = ensure_state(np.asarray(rho, dtype=complex))
-    p = frame.basis if basis is None else np.asarray(basis, dtype=complex)
+    p = frame.basis
     omega_f = p.conj().T @ omega @ p
     rho_f = p.conj().T @ rho @ p
     ws = WeylSystem(Group((2,)))

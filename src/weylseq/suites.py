@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import rand
+from .algebra import RESIDUAL_GATE
 from .group import Group
 from .instruments import (
     covariant_instrument,
@@ -54,7 +55,7 @@ def suite_theorem41(group: Group, seed: int) -> dict:
         back = reconstruct_measure(ws, instr)
         worst_round = max(worst_round, float(np.abs(back.m - mm.m).max()))
     return {
-        "covariance": (worst_cov, 1e-9),
+        "covariance": (worst_cov, RESIDUAL_GATE),
         "measure_roundtrip": (worst_round, 1e-8),
     }
 
@@ -76,8 +77,8 @@ def suite_prop42(group: Group, seed: int) -> dict:
             worst_b, float(np.abs(result.marginal_b.effects - ref_b.effects).max())
         )
     return {
-        "position_margin": (worst_a, 1e-9),
-        "momentum_margin": (worst_b, 1e-9),
+        "position_margin": (worst_a, RESIDUAL_GATE),
+        "momentum_margin": (worst_b, RESIDUAL_GATE),
     }
 
 
@@ -95,8 +96,8 @@ def suite_prop43(group: Group, seed: int) -> dict:
         f2 = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
         worst_recon = max(worst_recon, reconstruction_residual(ws, t, f1, f2))
     return {
-        "joint_is_cpso": (worst_joint, 1e-9),
-        "expansion_identity": (worst_recon, 1e-9),
+        "joint_is_cpso": (worst_joint, RESIDUAL_GATE),
+        "expansion_identity": (worst_recon, RESIDUAL_GATE),
     }
 
 
@@ -113,7 +114,7 @@ def suite_corollary44(group: Group, seed: int) -> dict:
         back = generating_state(ws, reconstruct_measure(ws, instr))
         worst_state = max(worst_state, float(np.abs(back - s).max()))
     return {
-        "cpso_realized": (worst_conv, 1e-9),
+        "cpso_realized": (worst_conv, RESIDUAL_GATE),
         "state_roundtrip": (worst_state, 1e-10),
     }
 

@@ -36,7 +36,7 @@ def test_partial_trace_shape_check():
 
 
 def test_is_psd():
-    assert is_psd(np.eye(3))
+    assert is_psd(np.eye(3)) is True  # a Python bool for one matrix
     assert is_psd(np.zeros((2, 2)))
     assert not is_psd(np.diag([1.0, -0.1]))
     sx_sy_sz = SX + np.array([[0, -1j], [1j, 0]]) + SZ

@@ -430,6 +430,40 @@ def test_instrument_verify_nan_residual_exits_2(instrument_file, monkeypatch, ca
     assert "covariance residual nan beyond tolerance" in captured.err
 
 
+# ==================== allowances that add up exit 2 ====================
+
+
+@pytest.mark.parametrize("case", ["cpso", "sequential_run_csv", "negative_sigma"])
+def test_inputs_within_their_allowance_that_fail_later_exit_2(case, tmp_path, ws2):
+    # A Z_2 state of trace 1 + 8e-10 passes |tr - 1| <= 1e-9, but its phase-space
+    # POVM misses the identity by sqrt(2) * 8e-10 (cpso); with a measure of trace
+    # 1 + 6e-10 the joint distribution sums to 1 + 1.4e-9 (sequential run). A
+    # density eigenvalue of -5e-10 passes is_psd but gives sigma that value.
+    rng = np.random.default_rng(0)
+    state = write_json(tmp_path / "s.json", matrix_to_json(rand.state(rng, 2) * (1 + 8e-10)))
+    csv_dir = tmp_path / "out"
+    if case == "cpso":
+        argv = ["cpso", "--group", "2", "--state", state]
+    else:
+        if case == "negative_sigma":
+            m = np.zeros((2, 2, 2), dtype=complex)
+            m[0] = np.diag([1 + 5e-10, -5e-10])
+        else:
+            m = rand.covariant_measure(rng, ws2.group).m * (1 + 6e-10)
+        measure = write_json(tmp_path / "m.json",
+                             measure_to_json(CovariantMeasure(ws2.group, m)))
+        argv = ["sequential", "run", "--measure", measure, "--state", state,
+                "--csv", str(csv_dir)]
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("invariant failure:")
+    assert proc.stderr.count("\n") == 1
+    assert "np.float64" not in proc.stderr
+    assert not csv_dir.exists()
+
+
 # ==================== option surface ====================
 
 LEAF_OPTIONS = {

@@ -1,7 +1,7 @@
 """The closed-form instrument, the sector-expanded covariance defect, the
 stacked joint observable, the Weyl-operator gathers and the checks and
 joint observable read off the measure against the dense constructions in
-`oracles`."""
+`oracles`, and the checks of whole stacks of densities and effects."""
 
 import numpy as np
 import pytest
@@ -12,12 +12,14 @@ from weylseq import (
     CovariantMeasure,
     CpMap,
     Group,
+    HermiticityError,
     Instrument,
     InvalidInstrumentError,
     Povm,
     WeylSystem,
     covariant_instrument,
     cpso_from_state,
+    is_psd,
     joint_observable,
     reconstruct_measure,
     reconstruction_residual,
@@ -325,14 +327,93 @@ def test_total_trace_check_is_kept_for_a_valid_measure():
         covariant_instrument(ws, mm)
 
 
-def test_run_sequential_eigensolves_no_matrix_larger_than_n(rng, monkeypatch):
-    ws = WeylSystem(Group((2, 3)))
-    mm = rand.covariant_measure(rng, ws.group)
+def eigensolves(monkeypatch):
+    """The order of each matrix (stack) that numpy's eigensolvers and SVD
+    are asked for from now on, one entry per call."""
     sizes = []
     for name in ("eigvalsh", "eigh", "eigvals", "eig", "svd"):
         def spy(a, *args, _orig=getattr(np.linalg, name), **kwargs):
             sizes.append(np.shape(a)[-1])
             return _orig(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, spy)
+    return sizes
+
+
+def test_run_sequential_eigensolves_no_matrix_larger_than_n(rng, monkeypatch):
+    ws = WeylSystem(Group((2, 3)))
+    mm = rand.covariant_measure(rng, ws.group)
+    sizes = eigensolves(monkeypatch)
     run_sequential(ws, mm)
     assert sizes and max(sizes) == ws.dim
+
+
+def test_run_sequential_makes_as_many_eigensolves_at_every_order(monkeypatch):
+    # each stack of densities or effects is checked by one batched call, so
+    # the count cannot grow with n as a loop over effects would make it
+    counts = []
+    for n in (2, 8):
+        ws = WeylSystem(Group((n,)))
+        mm = rand.covariant_measure(np.random.default_rng(n), ws.group)
+        sizes = eigensolves(monkeypatch)
+        run_sequential(ws, mm)
+        counts.append(len(sizes))
+        monkeypatch.undo()
+    assert counts[0] == counts[1]
+
+
+# ==================== checks of whole stacks ====================
+
+
+def perturb_middle(stack, kind):
+    """The stack with its middle matrix perturbed; the next one takes the
+    opposite change, so that sums and traces stay put."""
+    t = stack.copy()
+    k = len(t) // 2
+    w, q = np.linalg.eigh(t[k])
+    if kind == "zero":
+        delta = -t[k]
+    elif kind == "non_hermitian":
+        delta = np.zeros_like(t[k])
+        delta[0, 1] = 1e-3
+    else:
+        lowest = {"below_floor": -1e-6, "above_floor": -1e-11}[kind]
+        delta = (lowest - w[0]) * np.outer(q[:, 0], q[:, 0].conj())
+    t[k] += delta
+    t[k + 1] -= delta
+    return t, k
+
+
+@pytest.mark.parametrize("kind", ["below_floor", "above_floor", "non_hermitian", "zero"])
+def test_stack_checks_treat_each_matrix_as_alone(kind, rng):
+    ws = WeylSystem(Group((5,)))
+    n = ws.dim
+    dens = rand.covariant_measure(rng, ws.group).m
+    w, q = np.linalg.eigh(dens.sum(axis=0))
+    root = (q / np.sqrt(w)) @ q.conj().T
+    effects = root @ dens @ root  # a POVM; effects / n is a measure
+    cases = [
+        (effects, lambda t: Povm(ws.group.elements, t),
+         "effect {k} is not positive semidefinite", "matrix is not Hermitian"),
+        (effects / n, lambda t: CovariantMeasure(ws.group, t),
+         "density at outcome {k} is not positive semidefinite",
+         "density {k}: matrix is not Hermitian"),
+    ]
+    for base, build, not_psd, not_hermitian in cases:
+        t, k = perturb_middle(base, kind)
+        try:
+            alone = [is_psd(m) for m in t]
+        except HermiticityError as exc:
+            with pytest.raises(HermiticityError) as whole:
+                is_psd(t)
+            assert str(whole.value) == str(exc) and whole.value.index == k
+            with pytest.raises(ValueError, match=f"^{not_hermitian.format(k=k)}: defect 1.000e-03 > "):
+                build(t)
+            continue
+        assert is_psd(t).tolist() == alone
+        assert alone.count(False) == (kind == "below_floor")
+        if kind == "below_floor":
+            with pytest.raises(ValueError) as exc:
+                build(t)
+            assert str(exc.value) == not_psd.format(k=k)
+        else:
+            build(t)

@@ -58,6 +58,8 @@ def test_ensure_state():
         ensure_state(np.eye(3))  # trace 3
     with pytest.raises(ValueError):
         ensure_state(np.diag([1.5, -0.5]).astype(complex))
+    with pytest.raises(DimensionError):
+        ensure_state(np.array([np.eye(2) / 2] * 2))  # a stack is no state
 
 
 def test_measure_distribution(ws2):

@@ -1,0 +1,153 @@
+"""Digest of the CLI's outputs, to check that two checkouts write the same bytes.
+
+    python tools/cli_digest.py --src OTHER_CHECKOUT/src > parent.txt
+    python tools/cli_digest.py > change.txt
+    diff parent.txt change.txt
+
+Writes its inputs to a temporary directory: a measure and a state for
+each of the groups 8, 2x3 and 2x2x2, a measure with one non-Hermitian
+density, and a Z_2 measure and state whose traces sit just inside the
+validation allowance. They are drawn with numpy from fixed seeds and
+written as JSON here, never by the package under test. Then it runs a
+fixed list of ``weylseq`` commands in that directory, with --src
+(default: this checkout's src/) on PYTHONPATH, and prints one line per
+output of each command (stdout, stderr, each --out file and each CSV
+file): its SHA-256, the command's exit code and a label. An output that
+was not written prints ``absent`` in place of the digest.
+
+The lines depend only on the bytes the commands write, so ``diff`` of
+two runs on the same host lists exactly the outputs that differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+GROUPS = ("8", "2x3", "2x2x2")
+SEED = 2011
+
+
+def _matrix(t: np.ndarray) -> dict:
+    """The package's JSON form of a complex matrix: row-major [re, im] pairs."""
+    t = np.asarray(t, dtype=complex)
+    return {"rows": t.shape[0], "cols": t.shape[1],
+            "data": [[float(z.real), float(z.imag)] for z in t.reshape(-1)]}
+
+
+def _positive(rng: np.random.Generator, n: int) -> np.ndarray:
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return a @ a.conj().T
+
+
+def _state(rng: np.random.Generator, n: int) -> np.ndarray:
+    rho = _positive(rng, n)
+    return rho / np.trace(rho).real
+
+
+def _measure(rng: np.random.Generator, moduli: list) -> tuple[dict, np.ndarray]:
+    """A measure file of the group with these moduli, and its densities."""
+    n = int(np.prod(moduli))
+    m = np.array([_positive(rng, n) for _ in range(n)])
+    m /= np.trace(m.sum(axis=0)).real
+    return {"group": {"moduli": moduli}, "m": [_matrix(d) for d in m]}, m
+
+
+def write_inputs(work: Path) -> None:
+    for i, spec in enumerate(GROUPS):
+        moduli = [int(d) for d in spec.split("x")]
+        rng = np.random.default_rng([SEED, i])
+        (work / spec).mkdir()
+        measure, m = _measure(rng, moduli)
+        _dump(work / spec / "m.json", measure)
+        _dump(work / spec / "s.json", _matrix(_state(rng, m.shape[1])))
+    rng = np.random.default_rng([SEED, len(GROUPS)])
+    measure, m = _measure(rng, [8])
+    m[1, 0, 1] += 1e-3
+    measure["m"][1] = _matrix(m[1])
+    _dump(work / "nonherm.json", measure)
+    # each within 1e-9 of trace 1, but the checks after them add the excess up
+    measure, m = _measure(rng, [2])
+    measure["m"] = [_matrix(d * (1 + 6e-10)) for d in m]
+    _dump(work / "m2_scaled.json", measure)
+    _dump(work / "s2_scaled.json", _matrix(_state(rng, 2) * (1 + 8e-10)))
+
+
+def _dump(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj))
+
+
+def commands() -> list:
+    """(label, argv, output paths) of each command; a path may be a CSV directory."""
+    out = []
+    for spec in GROUPS:
+        m, s = f"{spec}/m.json", f"{spec}/s.json"
+        out += [
+            (f"{spec} sequential run", ["sequential", "run", "--measure", m, "--state", s,
+                                        "--csv", f"{spec}/csv"], [f"{spec}/csv"]),
+            (f"{spec} verify", ["verify", "--suite", "all", "--group", spec], []),
+            (f"{spec} instrument build", ["instrument", "build", "--measure", m,
+                                          "--out", f"{spec}/instr.json"], [f"{spec}/instr.json"]),
+            (f"{spec} instrument verify", ["instrument", "verify", "--in", f"{spec}/instr.json"],
+             []),
+            (f"{spec} instrument reconstruct", ["instrument", "reconstruct", "--in",
+                                                f"{spec}/instr.json", "--out",
+                                                f"{spec}/back.json"], [f"{spec}/back.json"]),
+            (f"{spec} cpso", ["cpso", "--check-ic", "--group", spec, "--state", s,
+                              "--out", f"{spec}/cpso.json"], [f"{spec}/cpso.json"]),
+            (f"{spec} dump-weyl", ["dump-weyl", "--group", spec], []),
+        ]
+    return out + [
+        ("demo spin", ["demo", "spin"], []),
+        ("non-Hermitian density", ["sequential", "run", "--measure", "nonherm.json"], []),
+        ("2 cpso scaled state", ["cpso", "--group", "2", "--state", "s2_scaled.json"], []),
+        ("2 sequential run scaled", ["sequential", "run", "--measure", "m2_scaled.json",
+                                     "--state", "s2_scaled.json", "--csv", "csv2"], ["csv2"]),
+    ]
+
+
+def _digest(data: bytes | None) -> str:
+    return "absent" if data is None else hashlib.sha256(data).hexdigest()
+
+
+def run(src: Path, work: Path) -> list:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    lines = []
+    for label, argv, outputs in commands():
+        proc = subprocess.run([sys.executable, "-m", "weylseq.cli", *argv], cwd=work,
+                              env=env, capture_output=True, check=False)
+        found = [(f"{label} stdout", proc.stdout), (f"{label} stderr", proc.stderr)]
+        for rel in outputs:
+            path = work / rel
+            if path.is_dir():
+                found += [(f"{label} {rel}/{f.name}", f.read_bytes())
+                          for f in sorted(path.iterdir())]
+            else:
+                found.append((f"{label} {rel}", path.read_bytes() if path.exists() else None))
+        lines += [f"{_digest(data)} {proc.returncode} {name}" for name, data in found]
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the weylseq package to run")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="cli_digest_") as tmp:
+        work = Path(tmp)
+        write_inputs(work)
+        sys.stdout.write("".join(f"{line}\n" for line in run(args.src.resolve(), work)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

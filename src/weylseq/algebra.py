@@ -32,14 +32,15 @@ def as_cmatrix(t) -> np.ndarray:
     return a
 
 
-def require_hermitian(t: np.ndarray) -> np.ndarray:
-    """Return t as a complex array if each matrix is Hermitian within its
-    `slack`, else raise for the first that is not, at `index` in the stack."""
-    t = np.asarray(t, dtype=complex)
+def _adjoint_within_slack(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t^dag, slack(t)) if each matrix of t is Hermitian within its slack,
+    else raise for the first that is not, at `index` in the stack. The
+    adjoint is a fresh array, free for the caller to overwrite."""
     if t.ndim < 2 or t.shape[-1] != t.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {t.shape}")
+    adj = t.conj().swapaxes(-1, -2)
     bound = slack(t)
-    defect = np.abs(t - t.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    defect = np.abs(t - adj).max(axis=(-2, -1), initial=0.0)
     bad = defect > bound
     if bad.any():
         k = int(np.argmax(bad))
@@ -47,6 +48,14 @@ def require_hermitian(t: np.ndarray) -> np.ndarray:
             f"matrix is not Hermitian: defect {defect.flat[k]:.3e} > {bound.flat[k]:.3e}")
         exc.index = k
         raise exc
+    return adj, bound
+
+
+def require_hermitian(t: np.ndarray) -> np.ndarray:
+    """Return t as a complex array if each matrix is Hermitian within its
+    `slack`, else raise for the first that is not, at `index` in the stack."""
+    t = np.asarray(t, dtype=complex)
+    _adjoint_within_slack(t)
     return t
 
 
@@ -54,9 +63,11 @@ def is_psd(t: np.ndarray):
     """Positive semidefiniteness, allowing eigenvalues down to -slack: a
     bool for one matrix, a bool array over a stack, from one batched
     eigensolve. Raises HermiticityError for non-Hermitian input."""
-    t = require_hermitian(t)
-    w = np.linalg.eigvalsh((t + t.conj().swapaxes(-1, -2)) / 2.0)
-    ok = w.min(axis=-1, initial=0.0) >= -slack(t)
+    t = np.asarray(t, dtype=complex)
+    h, bound = _adjoint_within_slack(t)
+    h += t
+    h /= 2.0  # the Hermitian part (t + t^dag) / 2, in the adjoint's buffer
+    ok = np.linalg.eigvalsh(h).min(axis=-1, initial=0.0) >= -bound
     return bool(ok) if t.ndim == 2 else ok
 
 

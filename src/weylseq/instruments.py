@@ -32,8 +32,11 @@ per Choi entry (the literal construction is the test oracle in
 
 A translation shifts k with every index; a modulation multiplies an
 entry by chi(a - i - b + j), which is 1 on the support i - a = j - b.
-So the closed form is exactly covariant, and `verify_covariance` checks
-these two properties on any instrument in O(n^6).
+So the closed form is exactly covariant. `verify_covariance` checks
+these two properties on any instrument: it sorts the Choi entries into
+character sectors and compares every pair of outcomes at once, with one
+Gram product per sector and one product with the character table, O(n^6)
+flops in BLAS and O(n^5) elementwise work and memory.
 
 The closed form is also checked from m alone. Each Choi_k is a
 permutation of blockdiag_y m(y)[k - a, k - b], so its spectrum is the
@@ -312,41 +315,48 @@ def verify_covariance(ws: WeylSystem, instr: Instrument) -> float:
     chi(a - i - b + j). With F[K, p, d, u, v] = C_K[K - p, K + u, K - q,
     K + v], q = p + d + u - v, the phase is chi(d), the move is K -> K + x,
     and block (k + x, i, j) is (K, u, v) = (k + x, i - K, j - K), whose
-    Frobenius norm is the one above. For A = F[K], T = F[K - x], all chi:
+    Frobenius norm is the one above. As (K, x) runs over G x G, (K, K - x)
+    runs over every pair (K, K'), and for A = F[K], T = F[K'], summed over
+    p and d:
 
-        ||A - chi T||^2 = alpha^2 + sum_d |1 - chi(d)|^2 tau_d
-                                  + 2 Re sum_d (1 - chi(d)) g_d,
+        ||A - chi T||^2 = ||A_0 - T_0||^2 + N[K] + N[K']
+                          - 2 Re sum_{d != 0} chi(d) H_d[K, K'],
 
-    alpha^2 = ||A - T||^2, tau_d = ||T_d||^2, g_d = <A - T, T>_d (sums over
-    p in sector d): two products with the character table per x, O(n^6).
+    N[K] = sum_{d != 0} ||F[K]_d||^2, H_d[K, K'] = sum_p conj(F[K, p, d])
+    F[K', p, d]. Per (u, v) that is one batched Gram product of the n x n
+    matrices F[., ., d, u, v] and one product with the character table,
+    O(n^6) flops in all; sector 0 is differenced pair by pair in O(n^5).
 
-    Rounding: a covariant instrument's mass lies in sector d = 0, where
-    1 - chi(0) is exactly 0, so it never enters and nothing cancels. The
-    terms that do enter are bounded by the block's own defect (alpha^2 is
-    the defect at the trivial character, the mass of T off d = 0 at most
-    the defect averaged over chi), so the error is O(n^2 eps) times the
-    block's largest squared defect. It is clamped at 0 before the root;
-    exactly covariant input gives exactly 0.
+    Rounding: a covariant instrument's mass lies in sector 0, which is
+    differenced directly, so nothing cancels there. Averaged over chi the
+    sum over d != 0 vanishes, so N[K] + N[K'] is at most the block's defect
+    averaged over chi and |sum_d H_d| half of that: the error is O(n eps)
+    times the block's largest squared defect. It is clamped at 0 before
+    the root. Exactly covariant input, whose F[K] are bitwise equal and
+    zero off d = 0, gives exactly +0.0.
     """
     _require_group_instrument(ws, instr)
     n = ws.dim
     add, sub = ws.group.add_table, ws.group.sub_table
-    c5 = np.array([m.choi for m in instr.maps]).reshape((n,) * 5)
-    k, p, d, u, v = np.ix_(*(np.arange(n),) * 5)
+    u, v, d, k, p = np.ix_(*(np.arange(n),) * 5)
     q = add[add[p, d], sub[u, v]]
-    f = c5[k, sub[k, p], add[k, u], sub[k, q], add[k, v]]
-    tau = (np.abs(f) ** 2).sum(axis=1)  # [K, d, u, v]
-    one_minus = 1.0 - ws.group.character_table  # [chi, d]; column d = 0 is 0
-    worst = 0.0
-    for x in range(n):
-        t = f[sub[:, x]]
-        diff = f - t
-        alpha2 = (np.abs(diff) ** 2).sum(axis=(1, 2)).reshape(n, 1, n * n)
-        cross = np.einsum("kpduv,kpduv->kduv", diff.conj(), t).reshape(n, n, n * n)
-        spread = np.abs(one_minus) ** 2 @ tau[sub[:, x]].reshape(n, n, n * n)
-        sq = alpha2 + spread + 2.0 * (one_minus @ cross).real
-        worst = max(worst, float(sq.max()))
-    return float(np.sqrt(max(worst, 0.0)))
+    at = (sub * n)[k, q]  # flat index of C_K[K - p, K + u, K - q, K + v]
+    at += (k * n**4 + sub[k, p] * n**3) + (add[k, u] * n**2 + add[k, v])
+    f = np.concatenate([m.choi for m in instr.maps]).reshape(-1).take(at)
+    del at  # each n^5 temporary goes once used: at most three are alive
+    diff = (f[:, :, 0, :, None] - f[:, :, 0, None]).view(float)  # [u, v, K, K', (p, re/im)]
+    same = np.einsum("...p,...p->...", diff, diff)
+    del diff
+    gram = f[:, :, 1:] @ f[:, :, 1:].conj().swapaxes(-1, -2)  # conj(H_d): [u, v, d, K, K']
+    del f
+    off = np.einsum("uvdkk->uvk", gram.real)  # N[K]
+    # gram is conj(H_d), so row chi holds the sum for conj(chi): over all
+    # characters, the same min
+    cross = ws.group.character_table[:, 1:] @ gram.reshape(n, n, n - 1, n * n)
+    del gram
+    turn = cross.real.min(axis=2).reshape(same.shape)  # over chi
+    sq = same + off[..., :, None] + off[..., None, :] - 2.0 * turn
+    return float(np.sqrt(max(float(sq.max()), 0.0)))
 
 
 # ==================== measure reconstruction ====================

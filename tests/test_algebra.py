@@ -49,6 +49,25 @@ def test_is_psd_rejects_non_hermitian():
         is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("shape", [(5, 5), (7, 4, 4), (3, 2, 6, 6)])
+def test_is_psd_eigensolves_the_hermitian_part_bit_for_bit(shape, rng, monkeypatch):
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    t = a @ a.conj().swapaxes(-1, -2) + 1e-12 * noise  # Hermitian within the slack
+    before = t.copy()
+    seen = []
+
+    def spy(h, _orig=np.linalg.eigvalsh):
+        seen.append(np.array(h))
+        return _orig(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    is_psd(t)
+    want = (t + t.conj().swapaxes(-1, -2)) / 2.0
+    assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
+    assert t.tobytes() == before.tobytes()  # the input is not overwritten
+
+
 def test_trace_norm_values():
     assert trace_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) == pytest.approx(2.0)
     assert trace_norm(np.diag([1.0, -3.0])) == pytest.approx(4.0)

@@ -3,6 +3,8 @@ stacked joint observable, the Weyl-operator gathers and the checks and
 joint observable read off the measure against the dense constructions in
 `oracles`, and the checks of whole stacks of densities and effects."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,10 +86,21 @@ def modulation_twirl(ws, chois):
     return (chois.reshape((n,) * 5) * keep).reshape(chois.shape)
 
 
+def outcome_swap(chois):
+    """Outcomes 0 and 1 trade Choi matrices: still an instrument, and on a
+    covariant one of order > 2 the defect sits at the pairs of outcomes
+    that meet 0 or 1."""
+    out = chois.copy()
+    out[[0, 1]] = out[[1, 0]]
+    return out
+
+
+# each takes (ws, covariant Choi stack, random instrument's Choi stack)
 PERTURBATIONS = {
-    "random": lambda ws, c: c,
-    "modulation_violation": translation_twirl,
-    "translation_violation": modulation_twirl,
+    "random": lambda ws, base, c: c,
+    "modulation_violation": lambda ws, base, c: translation_twirl(ws, c),
+    "translation_violation": lambda ws, base, c: modulation_twirl(ws, c),
+    "outcome_swap": lambda ws, base, c: outcome_swap(base),
 }
 
 
@@ -95,7 +108,7 @@ def perturbed(ws, rng, kind, eps):
     """A covariant instrument mixed with weight eps into a perturbation."""
     n = ws.dim
     base = chois_of(covariant_instrument(ws, rand.covariant_measure(rng, ws.group)))
-    other = PERTURBATIONS[kind](ws, random_instrument_chois(rng, n))
+    other = PERTURBATIONS[kind](ws, base, random_instrument_chois(rng, n))
     mix = (1 - eps) * base + eps * other
     return Instrument(ws.group.elements, tuple(CpMap(n, n, c) for c in mix)), mix
 
@@ -107,6 +120,7 @@ def test_closed_form_choi_matches_dense_oracle(moduli, rng):
     instr = covariant_instrument(ws, mm)
     assert np.abs(chois_of(instr) - dense_covariant_chois(ws, mm)).max() <= 1e-15
     assert verify_covariance(ws, instr) == 0.0
+    assert math.copysign(1.0, verify_covariance(ws, instr)) == 1.0  # never -0.0
 
 
 @pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
@@ -115,6 +129,11 @@ def test_sector_defect_matches_dense_oracle(moduli, kind, rng):
     ws = WeylSystem(Group(moduli))
     instr, mix = perturbed(ws, rng, kind, 1e-3)
     want = dense_covariance_defect(ws, mix)
+    if kind == "outcome_swap" and ws.dim == 2:
+        # the exchange of the only two outcomes is the translation by 1,
+        # which keeps a covariant instrument covariant
+        assert max(want, verify_covariance(ws, instr)) <= 1e-15
+        return
     assert want > 1e-5
     assert abs(verify_covariance(ws, instr) - want) <= 1e-12 * want
 

@@ -19,7 +19,8 @@ each layer the script fits the exponent p of time ~ n^p (and of memory)
 by least squares over the groups of order >= 8. The entry is stored under
 --label in BENCH_layers.json at the root of this checkout, keeping the
 other labels' entries, with the git revision of --src (``git describe
---always --dirty``), so measure a commit from a clean clone of it.
+--always --dirty``), so measure a commit from a clean clone of it. The
+file's ladder and layer lists are rewritten to this script's.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "BENCH_layers.json"
-LADDER = ("2", "3", "4", "6", "8", "12", "16", "20", "2x3", "2x2x2", "3x4")
+LADDER = ("2", "3", "4", "6", "8", "12", "16", "20", "24", "2x3", "2x2x2", "3x4", "2x12")
 LAYERS = ("covariant_instrument", "verify_covariance", "joint_from_measure",
           "run_sequential")
 FIT_MIN_ORDER = 8
@@ -139,9 +140,9 @@ def main(argv=None) -> int:
         **entry,
     }
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
-    doc.setdefault("ladder", list(LADDER))
-    doc.setdefault("layers", list(LAYERS))
-    doc.setdefault("exponent_fit", f"least squares of log(value) on log(n), orders >= {FIT_MIN_ORDER}")
+    doc["ladder"] = list(LADDER)
+    doc["layers"] = list(LAYERS)
+    doc["exponent_fit"] = f"least squares of log(value) on log(n), orders >= {FIT_MIN_ORDER}"
     doc.setdefault("entries", {})[args.label] = entry
     OUT.write_text(json.dumps(doc, indent=2) + "\n")
     return 0

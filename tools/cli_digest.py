@@ -6,14 +6,17 @@
 
 Writes its inputs to a temporary directory: a measure and a state for
 each of the groups 8, 2x3 and 2x2x2, a measure with one non-Hermitian
-density, and a Z_2 measure and state whose traces sit just inside the
-validation allowance. They are drawn with numpy from fixed seeds and
-written as JSON here, never by the package under test. Then it runs a
-fixed list of ``weylseq`` commands in that directory, with --src
-(default: this checkout's src/) on PYTHONPATH, and prints one line per
-output of each command (stdout, stderr, each --out file and each CSV
-file): its SHA-256, the command's exit code and a label. An output that
-was not written prints ``absent`` in place of the digest.
+density, a Z_2 measure and state whose traces sit just inside the
+validation allowance, and a Z_8 instrument that is not covariant (the
+closed form of the Z_8 measure mixed with its copy in which outcomes 0
+and 1 trade places), so that its covariance defect is printed. They are
+drawn with numpy from fixed seeds and written as JSON here, never by the
+package under test. Then it runs a fixed list of ``weylseq`` commands in
+that directory, with --src (default: this checkout's src/) on
+PYTHONPATH, and prints one line per output of each command (stdout,
+stderr, each --out file and each CSV file): its SHA-256, the command's
+exit code and a label. An output that was not written prints ``absent``
+in place of the digest.
 
 The lines depend only on the bytes the commands write, so ``diff`` of
 two runs on the same host lists exactly the outputs that differ.
@@ -62,6 +65,17 @@ def _measure(rng: np.random.Generator, moduli: list) -> tuple[dict, np.ndarray]:
     return {"group": {"moduli": moduli}, "m": [_matrix(d) for d in m]}, m
 
 
+def _closed_form(m: np.ndarray) -> np.ndarray:
+    """Choi stack of the covariant instrument of a Z_n measure, indices mod n:
+    Choi_k[a, i, b, j] = delta(i - a = j - b) herm(m(i - a))[k - a, k - b]."""
+    n = len(m)
+    herm = (m + m.conj().transpose(0, 2, 1)) / 2
+    k, a, b, y = np.ix_(*(np.arange(n),) * 4)
+    chois = np.zeros((n,) * 5, dtype=complex)
+    chois[k, a, (a + y) % n, b, (b + y) % n] = herm[y, (k - a) % n, (k - b) % n]
+    return chois.reshape(n, n * n, n * n)
+
+
 def write_inputs(work: Path) -> None:
     for i, spec in enumerate(GROUPS):
         moduli = [int(d) for d in spec.split("x")]
@@ -70,6 +84,13 @@ def write_inputs(work: Path) -> None:
         measure, m = _measure(rng, moduli)
         _dump(work / spec / "m.json", measure)
         _dump(work / spec / "s.json", _matrix(_state(rng, m.shape[1])))
+        if spec == "8":
+            # defect about 3e-9: beyond verify's gate 1e-9, within reconstruct's 1e-6
+            chois = _closed_form(m)
+            swapped = chois[[1, 0, *range(2, len(chois))]]
+            mix = (1 - 1e-7) * chois + 1e-7 * swapped
+            _dump(work / "swapped.json", {"group": {"moduli": moduli},
+                                          "maps": [{"choi": _matrix(c)} for c in mix]})
     rng = np.random.default_rng([SEED, len(GROUPS)])
     measure, m = _measure(rng, [8])
     m[1, 0, 1] += 1e-3
@@ -112,6 +133,10 @@ def commands() -> list:
         ("2 cpso scaled state", ["cpso", "--group", "2", "--state", "s2_scaled.json"], []),
         ("2 sequential run scaled", ["sequential", "run", "--measure", "m2_scaled.json",
                                      "--state", "s2_scaled.json", "--csv", "csv2"], ["csv2"]),
+        ("8 swapped instrument verify", ["instrument", "verify", "--in", "swapped.json"], []),
+        ("8 swapped instrument reconstruct", ["instrument", "reconstruct", "--in",
+                                              "swapped.json", "--out", "swapped_back.json"],
+         ["swapped_back.json"]),
     ]
 
 

@@ -354,8 +354,8 @@ def verify_covariance(ws: WeylSystem, instr: Instrument) -> float:
     # characters, the same min
     cross = ws.group.character_table[:, 1:] @ gram.reshape(n, n, n - 1, n * n)
     del gram
-    turn = cross.real.min(axis=2).reshape(same.shape)  # over chi
-    sq = same + off[..., :, None] + off[..., None, :] - 2.0 * turn
+    lowest = cross.real.min(axis=2).reshape(same.shape)  # over chi
+    sq = same + off[..., :, None] + off[..., None, :] - 2.0 * lowest
     return float(np.sqrt(max(float(sq.max()), 0.0)))
 
 

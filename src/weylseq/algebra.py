@@ -51,14 +51,6 @@ def _adjoint_within_slack(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return adj, bound
 
 
-def require_hermitian(t: np.ndarray) -> np.ndarray:
-    """Return t as a complex array if each matrix is Hermitian within its
-    `slack`, else raise for the first that is not, at `index` in the stack."""
-    t = np.asarray(t, dtype=complex)
-    _adjoint_within_slack(t)
-    return t
-
-
 def is_psd(t: np.ndarray):
     """Positive semidefiniteness, allowing eigenvalues down to -slack: a
     bool for one matrix, a bool array over a stack, from one batched

@@ -105,18 +105,21 @@ def _parse_group(spec: str) -> Group:
     n = group.order
     need = 32 * n**3 + 40 * n**2
     if need > MAX_WEYL_BYTES:
+        gib = need / 2**30 if need.bit_length() <= 1024 else math.inf  # beyond a float
         raise _InputError(
-            f"group {spec} of order {n} needs about {need / 2**30:.1f} GiB "
+            f"group {spec} of order {n} needs about {gib:.1f} GiB "
             f"of dense Weyl operators; the limit is {MAX_WEYL_BYTES / 2**30:.0f} GiB"
         )
     return group
 
 
-def _check_tol(args) -> None:
-    """Reject a --tol that cannot gate anything."""
+def _check_options(args) -> None:
+    """Reject a --tol that cannot gate anything and a --seed numpy cannot take."""
     tol = getattr(args, "tol", RESIDUAL_GATE)
     if not (math.isfinite(tol) and tol >= 0):
         raise _InputError(f"--tol must be finite and non-negative, got {tol}")
+    if getattr(args, "seed", 0) < 0:
+        raise _InputError(f"--seed must be non-negative, got {args.seed}")
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -419,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _check_tol(args)
+        _check_options(args)
         return args.func(args)
     except _InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

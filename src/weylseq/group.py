@@ -12,7 +12,6 @@ order fixes every matrix index in the package.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,98 +60,64 @@ class Group:
     def order(self) -> int:
         return int(math.prod(self.moduli))
 
-    @property
-    def haar_normalizer(self) -> float:
-        """The constant c = order**-0.5 entering the Fourier transform."""
-        return 1.0 / math.sqrt(self.order)
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        """(order, rank) array of the elements' coordinates, in enumeration order."""
+        return np.indices(self.moduli).reshape(self.rank, -1).T
 
     @cached_property
     def elements(self) -> tuple:
         """All elements, lexicographic, zero first, last coordinate fastest."""
-        return tuple(itertools.product(*(range(d) for d in self.moduli)))
+        return tuple(map(tuple, self._coords.tolist()))
 
-    @cached_property
-    def _index(self) -> dict:
-        return {x: k for k, x in enumerate(self.elements)}
+    def _ravel(self, coords: np.ndarray) -> np.ndarray:
+        """Indices of coordinates on the first axis, residues reduced mod the moduli."""
+        return np.ravel_multi_index(coords, self.moduli, mode="wrap")
 
     def index(self, x: Element) -> int:
-        x = self._coerce(x)
-        return self._index[x]
-
-    def _coerce(self, x) -> Element:
-        t = tuple(int(v) for v in x)
-        if len(t) != self.rank:
-            raise GroupError(f"element {t} has wrong rank for moduli {self.moduli}")
-        return tuple(v % d for v, d in zip(t, self.moduli))
-
-    # ---------- group operations ----------
+        x = np.asarray(x, dtype=np.int64)
+        if x.shape != (self.rank,):
+            raise GroupError(f"element {tuple(x.reshape(-1).tolist())} has wrong rank "
+                             f"for moduli {self.moduli}")
+        return int(self._ravel(x))
 
     def zero(self) -> Element:
         return (0,) * self.rank
 
-    def add(self, a: Element, b: Element) -> Element:
-        a = self._coerce(a)
-        b = self._coerce(b)
-        return tuple((u + v) % d for u, v, d in zip(a, b, self.moduli))
-
-    def neg(self, a: Element) -> Element:
-        a = self._coerce(a)
-        return tuple((-u) % d for u, d in zip(a, self.moduli))
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
-
     # ---------- pairing and Fourier data ----------
 
     @cached_property
-    def _phase_lcm(self) -> int:
-        return int(math.lcm(*self.moduli))
-
-    def pairing(self, chi: Element, x: Element) -> complex:
-        """chi(x), computed with exact integer phase reduction."""
-        chi = self._coerce(chi)
-        x = self._coerce(x)
-        big = self._phase_lcm
-        k = sum(c * v * (big // d) for c, v, d in zip(chi, x, self.moduli)) % big
-        return complex(np.exp(2j * np.pi * k / big))
-
-    @cached_property
     def character_table(self) -> np.ndarray:
-        """table[i, j] = chi_i(x_j) over the fixed enumeration."""
-        n = self.order
-        big = self._phase_lcm
-        elems = np.array(self.elements, dtype=np.int64)  # (n, rank)
+        """table[i, j] = chi_i(x_j) over the fixed enumeration, with the
+        integer phases reduced exactly mod the lcm of the moduli."""
+        big = math.lcm(*self.moduli)
         weights = np.array([big // d for d in self.moduli], dtype=np.int64)
-        phases = (elems * weights) @ elems.T % big  # (n, n) integer phases
+        phases = (self._coords * weights) @ self._coords.T % big
         return np.exp(2j * np.pi * phases / big)
 
     def fourier_matrix(self) -> np.ndarray:
-        """F[chi, x] = c * conj(chi(x)); unitary, F e_x gives the character
-        amplitudes of the point mass at x."""
-        return self.haar_normalizer * self.character_table.conj()
+        """F[chi, x] = conj(chi(x)) / sqrt(order); unitary, F e_x gives the
+        character amplitudes of the point mass at x."""
+        return (1.0 / math.sqrt(self.order)) * self.character_table.conj()
 
     # ---------- index tables ----------
 
     @cached_property
     def add_table(self) -> np.ndarray:
         """table[i, j] = index(x_i + x_j)."""
-        n = self.order
-        out = np.empty((n, n), dtype=np.intp)
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                out[i, j] = self._index[self.add(a, b)]
-        return out
+        c = self._coords.T
+        return self._ravel(c[:, :, None] + c[:, None, :])
 
     @cached_property
     def sub_table(self) -> np.ndarray:
         """table[i, j] = index(x_i - x_j)."""
-        return self.add_table[:, self.neg_table]
+        c = self._coords.T
+        return self._ravel(c[:, :, None] - c[:, None, :])
 
     @cached_property
     def neg_table(self) -> np.ndarray:
         """table[i] = index(-x_i)."""
-        return np.array([self._index[self.neg(x)] for x in self.elements],
-                        dtype=np.intp)
+        return self._ravel(-self._coords.T)
 
     # ---------- JSON form ----------
 

@@ -39,6 +39,8 @@ class ProbVector:
             raise DimensionError(
                 f"{len(self.outcomes)} outcomes but {len(w)} weights"
             )
+        if not np.all(np.isfinite(w)):
+            raise WeylseqError("probabilities contain non-finite entries")
         if w.min(initial=0.0) < PROB_FLOOR:
             raise WeylseqError(f"negative probability {w.min():.3e}")
         w = np.clip(w, 0.0, None)
@@ -86,10 +88,12 @@ class Povm:
 
 
 def ensure_state(rho: np.ndarray) -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD, unit trace within ABS_EPS."""
+    """Validate a density matrix: finite, Hermitian, PSD, unit trace within ABS_EPS."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2:
         raise DimensionError(f"expected a square matrix, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise WeylseqError("state has non-finite entries")
     if not is_psd(rho):
         raise WeylseqError("state is not positive semidefinite")
     tr = float(np.trace(rho).real)

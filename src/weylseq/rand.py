@@ -12,22 +12,10 @@ def complex_matrix(rng: np.random.Generator, n: int):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-def unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(complex_matrix(rng, n))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def state(rng: np.random.Generator, n: int) -> np.ndarray:
     a = complex_matrix(rng, n)
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
-
-
-def pure_state(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
 
 
 def covariant_measure(rng: np.random.Generator, group: Group) -> CovariantMeasure:

@@ -46,13 +46,17 @@ class SpinFrame:
     """Orthogonal spin axes (a, b) and the measurement basis they induce.
 
     Axes are normalized; inputs must be orthogonal within 1e-10 after
-    normalization (residual overlap is then removed exactly).
+    normalization (residual overlap is then removed exactly). An axis with
+    a non-finite component, or whose norm overflows, is rejected.
     """
 
     def __init__(self, a, b):
         a = np.asarray(a, dtype=float).reshape(3)
         b = np.asarray(b, dtype=float).reshape(3)
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        with np.errstate(over="ignore"):
+            na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        if not (np.isfinite(na) and np.isfinite(nb)):
+            raise ValueError("spin axes must be finite vectors with a finite norm")
         if na == 0.0 or nb == 0.0:
             raise ValueError("spin axes must be nonzero vectors")
         a = a / na

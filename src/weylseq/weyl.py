@@ -34,7 +34,7 @@ class WeylSystem:
     Attributes
     ----------
     group : Group
-    fourier : (n, n) unitary with fourier[chi, x] = c * conj(chi(x))
+    fourier : (n, n) unitary with fourier[chi, x] = conj(chi(x)) / sqrt(n)
     """
 
     def __init__(self, group: Group):

@@ -9,17 +9,21 @@ The rest multiply the dense U and V stacks where the package gathers:
 the Weyl relation, phase-space observables and their covariance, M'(G),
 the expansion identity and the measure reconstruction by Weyl probes.
 
-The measurement model itself is here too, since the package computes
-only its closed forms: the coupling L, partial traces, CP maps from and
+The group arithmetic one element at a time is the reference for the
+package's index and character tables, which it computes on whole arrays
+of element coordinates. The measurement model is here too, since the
+package computes only its closed forms: the coupling L, partial traces, CP maps from and
 to Kraus operators and their composition, instruments run one after the
 other, Weyl operators of phase-space points and sharp projections.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from weylseq import CovariantMeasure, CpMap, DimensionError, Group, Instrument, Povm, WeylSystem
+from weylseq import (CovariantMeasure, CpMap, DimensionError, Group, GroupError, Instrument,
+                     Povm, WeylSystem)
 
 KRAUS_CUTOFF = 1e-12  # relative Choi eigenvalue cutoff of kraus_operators
 
@@ -117,6 +121,43 @@ def compose_sequential(first: Instrument, second: Instrument) -> Instrument:
     return Instrument(outcomes, maps)
 
 
+# ==================== group arithmetic on element tuples ====================
+
+
+def coerce(group: Group, x) -> tuple:
+    """The element x as a tuple of residues reduced mod the moduli."""
+    t = tuple(int(v) for v in x)
+    if len(t) != group.rank:
+        raise GroupError(f"element {t} has wrong rank for moduli {group.moduli}")
+    return tuple(v % d for v, d in zip(t, group.moduli))
+
+
+def index(group: Group, x) -> int:
+    """Position of x in the enumeration, by search."""
+    return group.elements.index(coerce(group, x))
+
+
+def add(group: Group, a, b) -> tuple:
+    a, b = coerce(group, a), coerce(group, b)
+    return tuple((u + v) % d for u, v, d in zip(a, b, group.moduli))
+
+
+def neg(group: Group, a) -> tuple:
+    return tuple((-u) % d for u, d in zip(coerce(group, a), group.moduli))
+
+
+def sub(group: Group, a, b) -> tuple:
+    return add(group, a, neg(group, b))
+
+
+def pairing(group: Group, chi, x) -> complex:
+    """chi(x), computed with exact integer phase reduction."""
+    chi, x = coerce(group, chi), coerce(group, x)
+    big = math.lcm(*group.moduli)
+    k = sum(c * v * (big // d) for c, v, d in zip(chi, x, group.moduli)) % big
+    return complex(np.exp(2j * np.pi * k / big))
+
+
 # ==================== Weyl operators of phase-space points ====================
 
 
@@ -139,9 +180,9 @@ class PhasePoint:
 
 def phase_point_product(group: Group, p: PhasePoint, q: PhasePoint) -> PhasePoint:
     """Group law (x, chi, u)(y, gamma, v) = (x+y, chi*gamma, conj(chi(y)) u v)."""
-    x = group.add(p.x, q.x)
-    chi = group.add(p.chi, q.chi)
-    u = np.conj(group.pairing(p.chi, q.x)) * p.u * q.u
+    x = add(group, p.x, q.x)
+    chi = add(group, p.chi, q.chi)
+    u = np.conj(pairing(group, p.chi, q.x)) * p.u * q.u
     return PhasePoint(x, chi, u)
 
 

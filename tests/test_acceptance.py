@@ -37,7 +37,7 @@ from weylseq import (
 from weylseq import rand
 from weylseq.sequential import cpso_defect
 from conftest import GROUPS_UP_TO_12
-from oracles import coupling_unitary, dense_joint_effects
+from oracles import coupling_unitary, dense_joint_effects, sub
 
 GROUPS_ORDER_LE_6 = [(2,), (3,), (4,), (2, 2), (5,), (6,), (2, 3)]
 
@@ -75,7 +75,7 @@ def test_coupling_intertwiners():
                 ) @ ell
                 worst = max(worst, np.abs(lhs - rhs).max())
                 lhs = ell @ np.kron(ws.modulations[i], ws.modulations[j])
-                diff = g.index(g.sub(g.elements[i], g.elements[j]))
+                diff = g.index(sub(g, g.elements[i], g.elements[j]))
                 rhs = np.kron(ws.modulations[diff], ws.modulations[j]) @ ell
                 worst = max(worst, np.abs(lhs - rhs).max())
     assert _report("coupling-intertwiners (d<=4)", worst, 1e-12)

@@ -5,11 +5,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from weylseq import DimensionError, HermiticityError, is_psd, matrix_from_json, matrix_to_json
-from weylseq.rand import complex_matrix, unitary
+from weylseq.rand import complex_matrix
 from oracles import partial_trace_first, partial_trace_second, trace_norm
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+def unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(complex_matrix(rng, n))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def test_partial_trace_bell_state():

@@ -1,13 +1,15 @@
-"""Mutated measure, state and instrument files through the CLI loaders.
+"""Mutated input files and option values through the CLI.
 
 Every mutant of a valid file, fed to every command that reads a file,
-must end in exit 0, 1 or 2 without an exception escaping `main`, and
-never in exit 0 with a report that says "pass": false.
+and every drawn value of --seed, --a, --b, --tol and --group must end in
+exit 0, 1 or 2 without an exception escaping `main`, and never in exit 0
+with a report that says "pass": false.
 """
 
 import contextlib
 import io
 import json
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -101,4 +103,35 @@ def test_mutated_files_exit_cleanly(mutant, tmp_path_factory):
         if code == 0:
             assert json.loads(out).get("pass") is not False, argv
         else:
+            assert err.count("\n") == 1, (argv, err)
+
+
+# Option values: negative, huge, not a number, infinite, empty; the groups
+# are either rejected before anything is built or of order at most 4.
+NUMBER_TEXTS = ["0", "-0", "-1", "1", "nan", "-nan", "inf", "-inf", "1e308", "-1e308",
+                "1e309", "1e-320", "", "x"]
+GROUP_TEXTS = ["", "0", "1", "-2", "2", "3", "4", "2x2", "nan", "inf", "1e308", "2x", "x",
+               "2x-3", "2x1", str(10**20), "9" * 400]
+numbers = st.one_of(st.sampled_from(NUMBER_TEXTS), st.floats().map(repr),
+                    st.integers(-2**70, 2**70).map(str))
+axes = st.one_of(st.sampled_from(["0,0,1", "1,0,0", "0,1,0", "0,0,0"]),
+                 st.lists(numbers, min_size=0, max_size=4).map(",".join))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=numbers, a=axes, b=axes, tol=numbers, group=st.sampled_from(GROUP_TEXTS))
+def test_option_values_exit_cleanly(seed, a, b, tol, group, tmp_path_factory):
+    path = tmp_path_factory.mktemp("options") / "m.json"
+    path.write_text(valid_text((2,), "measure"))
+    for argv in (["demo", "spin", f"--seed={seed}", f"--a={a}", f"--b={b}"],
+                 ["verify", "--suite", "spin", f"--seed={seed}", f"--group={group}"],
+                 ["sequential", "run", "--measure", str(path), f"--tol={tol}",
+                  f"--group={group}"],
+                 ["dump-weyl", f"--group={group}"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning is output beyond the one error line
+            code, out, err = run(argv)
+        assert code in (0, 1, 2), (argv, err)
+        assert (code == 0) == (err == ""), (argv, err)
+        if code != 0:
             assert err.count("\n") == 1, (argv, err)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from weylseq import Group, GroupError
 
 from conftest import SMALL_MODULI
+from oracles import add, index, neg, pairing, sub
 
 
 def test_bad_moduli():
@@ -33,19 +36,19 @@ def test_enumeration_order():
 def test_group_axioms():
     g = Group((3, 4))
     for a in g.elements:
-        assert g.add(a, g.zero()) == a
-        assert g.add(a, g.neg(a)) == g.zero()
+        assert add(g, a, g.zero()) == a
+        assert add(g, a, neg(g, a)) == g.zero()
         for b in g.elements:
-            assert g.add(a, b) == g.add(b, a)
-    assert g.sub((2, 1), (1, 3)) == (1, 2)
+            assert add(g, a, b) == add(g, b, a)
+    assert sub(g, (2, 1), (1, 3)) == (1, 2)
 
 
 def test_pairing_values():
     g4 = Group((4,))
-    assert abs(g4.pairing((1,), (1,)) - 1j) < 1e-15
-    assert abs(g4.pairing((2,), (1,)) + 1.0) < 1e-15
+    assert abs(pairing(g4, (1,), (1,)) - 1j) < 1e-15
+    assert abs(pairing(g4, (2,), (1,)) + 1.0) < 1e-15
     g23 = Group((2, 3))
-    val = g23.pairing((1, 1), (1, 2))
+    val = pairing(g23, (1, 1), (1, 2))
     want = np.exp(2j * np.pi * (1 / 2 + 2 / 3))
     assert abs(val - want) < 1e-14
 
@@ -57,11 +60,11 @@ def test_pairing_bicharacter(rng):
         chi = elems[rng.integers(len(elems))]
         x = elems[rng.integers(len(elems))]
         y = elems[rng.integers(len(elems))]
-        lhs = g.pairing(chi, g.add(x, y))
-        rhs = g.pairing(chi, x) * g.pairing(chi, y)
+        lhs = pairing(g, chi, add(g, x, y))
+        rhs = pairing(g, chi, x) * pairing(g, chi, y)
         assert abs(lhs - rhs) < 1e-13
-        lhs2 = g.pairing(g.add(chi, x), y)
-        rhs2 = g.pairing(chi, y) * g.pairing(x, y)
+        lhs2 = pairing(g, add(g, chi, x), y)
+        rhs2 = pairing(g, chi, y) * pairing(g, x, y)
         assert abs(lhs2 - rhs2) < 1e-13
 
 
@@ -90,9 +93,42 @@ def test_fourier_z3_entries():
 def test_index_tables():
     g = Group((2, 3))
     for i, a in enumerate(g.elements):
-        assert g.neg_table[i] == g.index(g.neg(a))
+        assert g.neg_table[i] == index(g, neg(g, a))
         for j, b in enumerate(g.elements):
-            assert g.add_table[i, j] == g.index(g.add(a, b))
+            assert g.add_table[i, j] == index(g, add(g, a, b))
+
+
+@st.composite
+def groups_rows_residues(draw):
+    """A group of rank 1 to 3 with moduli 2 to 9, a few element indices whose
+    table rows are checked, and elements given by unreduced residues."""
+    g = Group(tuple(draw(st.lists(st.integers(2, 9), min_size=1, max_size=3))))
+    rows = draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=4))
+    residues = st.lists(st.integers(-30, 30), min_size=g.rank, max_size=g.rank)
+    return g, rows, draw(st.lists(residues, min_size=1, max_size=5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=groups_rows_residues())
+def test_tables_match_the_element_arithmetic(case):
+    g, rows, raw = case
+    elems = g.elements
+    assert [g.index(x) for x in elems] == list(range(g.order))
+    for x in raw:
+        assert g.index(x) == g.index(tuple(x)) == index(g, x)
+    for wrong in ((0,) * (g.rank + 1), (0,) * (g.rank - 1)):
+        with pytest.raises(GroupError, match="wrong rank"):
+            g.index(wrong)
+    assert g.neg_table.tolist() == [index(g, neg(g, a)) for a in elems]
+    table = g.character_table
+    for i in rows:
+        a = elems[i]
+        assert g.add_table[i].tolist() == [index(g, add(g, a, b)) for b in elems]
+        assert g.sub_table[i].tolist() == [index(g, sub(g, a, b)) for b in elems]
+        assert np.abs(table[i] - [pairing(g, a, x) for x in elems]).max() <= 1e-15
+        # bicharacter: chi(x + y) = chi(x) chi(y) and (chi + gamma)(x) = chi(x) gamma(x)
+        assert np.abs(table[i][g.add_table] - np.outer(table[i], table[i])).max() < 1e-13
+        assert np.abs(table[g.add_table[i]] - table[i] * table).max() < 1e-13
 
 
 def test_json_roundtrip():

@@ -33,6 +33,7 @@ from oracles import (
     identity_map,
     kraus_operators,
     partial_trace_second,
+    sub,
 )
 
 
@@ -136,7 +137,7 @@ def test_coupling_unitary_and_intertwining(moduli):
                           ws.translations[g.add_table[i, j]]) @ ell
             assert np.abs(lhs - rhs).max() < 1e-12
             lhs_v = ell @ np.kron(ws.modulations[i], ws.modulations[j])
-            diff = g.index(g.sub(g.elements[i], g.elements[j]))
+            diff = g.index(sub(g, g.elements[i], g.elements[j]))
             rhs_v = np.kron(ws.modulations[diff], ws.modulations[j]) @ ell
             assert np.abs(lhs_v - rhs_v).max() < 1e-12
 

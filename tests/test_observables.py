@@ -8,6 +8,7 @@ from weylseq import (
     Povm,
     ProbVector,
     WeylSystem,
+    WeylseqError,
     cpso_from_state,
     effect_span_dimension,
     ensure_state,
@@ -20,6 +21,7 @@ from weylseq import (
     verify_cpso_covariance,
 )
 from weylseq import rand
+from oracles import sub
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -40,6 +42,21 @@ def test_prob_vector_validation():
         ProbVector((0, 1), [1.2, -0.2])
     pv = ProbVector((0, 1), [1.0, -1e-13])  # round-off clipped
     assert pv.weights[1] == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_prob_vector_rejects_non_finite_weights(bad):
+    with pytest.raises(WeylseqError, match="non-finite"):
+        ProbVector(((0,), (1,)), np.array([bad, 1.0]))
+
+
+def test_ensure_state_rejects_non_finite_entries():
+    rho = np.eye(2, dtype=complex) / 2
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        t = rho.copy()
+        t[0, 1] = t[1, 0] = bad
+        with pytest.raises(WeylseqError, match="non-finite"):
+            ensure_state(t)
 
 
 def test_povm_validation():
@@ -95,7 +112,7 @@ def test_smear_momentum_convolves(ws3, rng):
     povm = smear_momentum(ws3, tau)
     for k, chi in enumerate(g.elements):
         want = sum(
-            w[g.index(g.sub(chi, gamma))] * ws3.momentum_effects[j]
+            w[g.index(sub(g, chi, gamma))] * ws3.momentum_effects[j]
             for j, gamma in enumerate(g.elements)
         )
         assert np.abs(povm.effects[k] - want).max() < 1e-13

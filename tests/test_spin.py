@@ -19,6 +19,12 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def pure_state(rng: np.random.Generator, n: int) -> np.ndarray:
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
 def test_frame_rejects_non_orthogonal():
     with pytest.raises(ValueError):
         SpinFrame((0, 0, 1), (0, 0.5, 1))
@@ -27,6 +33,14 @@ def test_frame_rejects_non_orthogonal():
 def test_frame_rejects_zero_axis():
     with pytest.raises(ValueError):
         SpinFrame((0, 0, 0), (1, 0, 0))
+
+
+@pytest.mark.parametrize("a", [(np.nan, 0, 1), (0, np.inf, 1), (1e308, 1e308, 0)])
+def test_frame_rejects_non_finite_axis(a):
+    with np.errstate(all="raise"):  # and no floating-point warning on the way
+        for axes in ((a, (0, 0, 1)), ((0, 0, 1), a)):
+            with pytest.raises(ValueError, match="finite norm"):
+                SpinFrame(*axes)
 
 
 def test_frame_normalizes():
@@ -148,8 +162,8 @@ def test_factorization_needs_the_right_basis(rng):
 
 def test_factorization_pure_probe(rng):
     f = SpinFrame((0, 1, 0), (1, 0, 0))
-    omega = rand.pure_state(rng, 2)
-    rho = rand.pure_state(rng, 2)
+    omega = pure_state(rng, 2)
+    rho = pure_state(rng, 2)
     assert kronecker_factorization_check(f, omega, rho) < 1e-10
 
 

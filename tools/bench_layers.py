@@ -6,6 +6,8 @@
 Imports weylseq from --src (default: this checkout's src/) and, on each
 group of a fixed ladder, times these layers on one seeded measure:
 
+* ``group_tables`` -- a fresh ``Group``'s addition, subtraction, negation
+  and character tables, and the ``WeylSystem`` on it;
 * ``covariant_instrument`` -- the closed-form instrument with its checks;
 * ``verify_covariance`` -- the covariance check of that instrument;
 * ``joint_from_measure`` -- the joint observable's effects read off the
@@ -40,7 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "BENCH_layers.json"
 LADDER = ("2", "3", "4", "6", "8", "12", "16", "20", "24", "2x3", "2x2x2", "3x4", "2x12")
-LAYERS = ("covariant_instrument", "verify_covariance", "joint_from_measure",
+LAYERS = ("group_tables", "covariant_instrument", "verify_covariance", "joint_from_measure",
           "run_sequential")
 FIT_MIN_ORDER = 8
 SEED = 2011
@@ -94,6 +96,10 @@ def measure_ladder(src: Path) -> dict:
                          verify_covariance)
     from weylseq.sequential import joint_from_measure
 
+    def group_tables(moduli):
+        g = Group(moduli)
+        return g.add_table, g.sub_table, g.neg_table, g.character_table, WeylSystem(g)
+
     groups = {}
     for spec in LADDER:
         group = Group.from_spec(spec)
@@ -101,6 +107,7 @@ def measure_ladder(src: Path) -> dict:
         mm = rand.covariant_measure(np.random.default_rng(SEED), group)
         instr = covariant_instrument(ws, mm)
         calls = {
+            "group_tables": lambda: group_tables(group.moduli),
             "covariant_instrument": lambda: covariant_instrument(ws, mm),
             "verify_covariance": lambda: verify_covariance(ws, instr),
             "joint_from_measure": lambda: joint_from_measure(ws, mm),

@@ -13,7 +13,10 @@ and 1 trade places), so that its covariance defect is printed. They are
 drawn with numpy from fixed seeds and written as JSON here, never by the
 package under test. Then it runs a fixed list of ``weylseq`` commands in
 that directory, with --src (default: this checkout's src/) on
-PYTHONPATH, and prints one line per output of each command (stdout,
+PYTHONPATH; the last ones pass option values that must be refused with
+exit 1 (a negative --seed, a spin axis with a NaN component or an
+overflowing norm, a group whose size overflows a float). It prints one
+line per output of each command (stdout,
 stderr, each --out file and each CSV file): its SHA-256, the command's
 exit code and a label. An output that was not written prints ``absent``
 in place of the digest.
@@ -137,6 +140,12 @@ def commands() -> list:
         ("8 swapped instrument reconstruct", ["instrument", "reconstruct", "--in",
                                               "swapped.json", "--out", "swapped_back.json"],
          ["swapped_back.json"]),
+        ("demo spin negative seed", ["demo", "spin", "--seed", "-1"], []),
+        ("verify negative seed", ["verify", "--suite", "spin", "--seed", "-5"], []),
+        ("demo spin overflowing axis", ["demo", "spin", "--a", "1e308,1e308,0",
+                                        "--b", "0,0,1"], []),
+        ("demo spin NaN axis", ["demo", "spin", "--a", "nan,0,1"], []),
+        ("dump-weyl 400-digit group", ["dump-weyl", "--group", "9" * 400], []),
     ]
 
 

@@ -105,7 +105,7 @@ def _parse_group(spec: str) -> Group:
     n = group.order
     need = 32 * n**3 + 40 * n**2
     if need > MAX_WEYL_BYTES:
-        gib = need / 2**30 if need.bit_length() <= 1024 else math.inf  # beyond a float
+        gib = need / 2**30 if need.bit_length() <= 1024 else math.inf  # too large for a float
         raise _InputError(
             f"group {spec} of order {n} needs about {gib:.1f} GiB "
             f"of dense Weyl operators; the limit is {MAX_WEYL_BYTES / 2**30:.0f} GiB"

@@ -98,6 +98,7 @@ class Group:
     def fourier_matrix(self) -> np.ndarray:
         """F[chi, x] = conj(chi(x)) / sqrt(order); unitary, F e_x gives the
         character amplitudes of the point mass at x."""
+        # times the reciprocal: dividing by sqrt(order) flips the sign of zero imaginary parts
         return (1.0 / math.sqrt(self.order)) * self.character_table.conj()
 
     # ---------- index tables ----------

@@ -319,6 +319,8 @@ def cmd_verify(args) -> int:
             f"unknown suite {args.suite!r}; choose from {', '.join(SUITE_NAMES)}"
         )
     group = _parse_group(args.group or "2")
+    if args.suite == "spin" and group.moduli != (2,):
+        raise _InputError(f"the spin suite runs on the group 2 only, not {args.group}")
     results = run_suite(args.suite, group, args.seed)
     all_ok = True
     sys.stdout.write(

@@ -84,21 +84,29 @@ def instrument_to_json(ws, instr: Instrument) -> dict:
     _require_group_instrument(ws, instr)
     return {
         "group": ws.group.to_json(),
-        "maps": [{"choi": matrix_to_json(m.choi)} for m in instr.maps],
+        "maps": [{"choi": matrix_to_json(c)} for c in instr.maps.choi],
     }
 
 
 def instrument_from_json(obj: dict):
-    """Returns (group, instrument); outcomes are the group elements."""
+    """Returns (group, instrument); outcomes are the group elements. Each
+    map is decoded straight into the one Choi stack, allocated at the first
+    map of the right size."""
     try:
         group = Group.from_json(obj["group"])
-        chois = [matrix_from_json(m["choi"]) for m in obj["maps"]]
+        n, side, chois, shapes = group.order, group.order**2, None, []
+        for m in obj["maps"]:
+            t = matrix_from_json(m["choi"])
+            if t.shape == (side, side) and len(shapes) < n:
+                if chois is None:
+                    chois = np.empty((n, side, side), dtype=complex)
+                chois[len(shapes)] = t
+            shapes.append(t.shape)
+            del t  # before the next map is decoded: the peak is the stack and one map
     except (KeyError, TypeError, GroupError) as exc:
         raise ValueError(f"malformed instrument object: {exc}") from exc
-    n = group.order
-    _require_stack("instrument", "maps", "maps[{}].choi", chois, n, n * n)
-    maps = tuple(CpMap(n, n, c) for c in chois)
-    return group, Instrument(group.elements, maps)
+    _require_stack("instrument", "maps", "maps[{}].choi", shapes, n, side)
+    return group, Instrument(group.elements, CpMap(n, n, chois))
 
 
 def measure_to_json(mm: CovariantMeasure) -> dict:
@@ -114,21 +122,22 @@ def measure_from_json(obj: dict) -> CovariantMeasure:
         stacks = [matrix_from_json(mx) for mx in obj["m"]]
     except (KeyError, TypeError, GroupError) as exc:
         raise ValueError(f"malformed measure object: {exc}") from exc
-    _require_stack("measure", "m", "m[{}]", stacks, group.order, group.order)
+    _require_stack("measure", "m", "m[{}]", [t.shape for t in stacks], group.order,
+                   group.order)
     return CovariantMeasure(group, np.array(stacks))
 
 
-def _require_stack(what: str, key: str, entry: str, mats: list, n: int, side: int) -> None:
+def _require_stack(what: str, key: str, entry: str, shapes: list, n: int, side: int) -> None:
     """A malformed `what` object, not an invalid one, unless its list `key`
-    holds n matrices of shape side x side: a stack of the wrong shape is
-    no measure or instrument of the group at all."""
-    if len(mats) != n:
-        raise ValueError(f'malformed {what} object: "{key}" has {len(mats)} entries, '
+    holds n matrices of shape side x side (`shapes`): a stack of the wrong
+    shape is no measure or instrument of the group at all."""
+    if len(shapes) != n:
+        raise ValueError(f'malformed {what} object: "{key}" has {len(shapes)} entries, '
                          f"expected {n}")
-    for k, t in enumerate(mats):
-        if t.shape != (side, side):
+    for k, (rows, cols) in enumerate(shapes):
+        if (rows, cols) != (side, side):
             raise ValueError(f"malformed {what} object: {entry.format(k)} is "
-                             f"{t.shape[0]}x{t.shape[1]}, expected {side}x{side}")
+                             f"{rows}x{cols}, expected {side}x{side}")
 
 
 def dumps(obj) -> str:

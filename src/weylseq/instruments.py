@@ -38,16 +38,17 @@ character sectors and compares every pair of outcomes at once, with one
 Gram product per sector and one product with the character table, O(n^6)
 flops in BLAS and O(n^5) elementwise work and memory.
 
-The closed form is also checked from m alone. Each Choi_k is a
+An instrument keeps its n Choi matrices as one (n, n^2, n^2) stack, a
+single `CpMap`, and every instrument's trace checks read that stack's
+reduced maps sum_a Choi_k[a, i, a, j]. Only the finiteness and complete
+positivity of the closed form are checked from m: each Choi_k is a
 permutation of blockdiag_y m(y)[k - a, k - b], so its spectrum is the
 union of the spectra of the densities and max|Choi_k| = max_y max|m(y)|,
 which puts is_psd's floor in the same place: one batched O(n^4)
-eigensolve in place of n eigensolves of n^2 x n^2 matrices. Its reduced
-map is diagonal, sum_a Choi_k[a, i, a, i] = sum_a m(i - a)[k - a, k - a],
-which gives both trace checks in O(n^3).
+eigensolve in place of n eigensolves of n^2 x n^2 matrices.
 
-`reconstruct_measure` inverts it: each m(y)[p, q] sits in n Choi
-entries, one per outcome k, and their mean is the inverse.
+`reconstruct_measure` inverts the closed form: each m(y)[p, q] sits in
+n Choi entries, one per outcome k, and their mean is the inverse.
 """
 
 from __future__ import annotations
@@ -73,28 +74,12 @@ def _require_finite(c: np.ndarray) -> None:
         raise InvalidInstrumentError("Choi matrix has non-finite entries")
 
 
-def _require_trace_non_increasing(excess: np.ndarray) -> None:
-    """excess: eigenvalues of a map's Hermitian reduced Choi matrix minus 1."""
-    if excess.max(initial=0.0) > ABS_EPS:
-        raise InvalidInstrumentError(
-            f"map increases trace: max eigenvalue excess {excess.max():.3e}"
-        )
-
-
-def _require_trace_preserving(defect: float) -> None:
-    """defect: Frobenius distance of an instrument's total dual map of 1 from 1."""
-    if defect > ABS_EPS:
-        raise InvalidInstrumentError(
-            f"total map is not trace preserving: defect {defect:.3e}"
-        )
-
-
-def _prechecked(cls, **fields):
-    """A CpMap or Instrument whose positivity and trace checks the caller
-    has made in an equivalent form; its __post_init__ makes the structural
-    ones. The only way to skip the former: every other object, those
-    decoded from JSON included, is checked in full."""
-    obj = object.__new__(cls)
+def _prechecked(**fields) -> CpMap:
+    """A CpMap stack whose finiteness and complete positivity the caller
+    has checked in an equivalent form; its __post_init__ makes the shape
+    and trace checks. The only way to skip the former: every other map,
+    those decoded from JSON included, is checked in full."""
+    obj = object.__new__(CpMap)
     vars(obj).update(fields)
     obj.__post_init__(prechecked=True)
     return obj
@@ -102,7 +87,8 @@ def _prechecked(cls, **fields):
 
 @dataclass
 class CpMap:
-    """Completely positive, trace-non-increasing map in Choi form."""
+    """Completely positive, trace-non-increasing map in Choi form, or a
+    stack (k, d, d) of them, each checked as it would be alone."""
 
     dim_in: int
     dim_out: int
@@ -111,28 +97,33 @@ class CpMap:
     def __post_init__(self, prechecked: bool = False):
         c = np.asarray(self.choi, dtype=complex)
         want = self.dim_in * self.dim_out
-        if c.shape != (want, want):
+        if c.ndim not in (2, 3) or c.shape[-2:] != (want, want):
             raise DimensionError(
                 f"Choi matrix shape {c.shape}, expected ({want}, {want})"
             )
-        if not prechecked:
-            _require_finite(c)
-            if not is_psd(c):
-                raise InvalidInstrumentError(_NOT_CP)
-            red = np.einsum("aiaj->ij", c.reshape(self._shape4))
-            _require_trace_non_increasing(
-                np.linalg.eigvalsh((red + red.conj().T) / 2 - np.eye(self.dim_in)))
         self.choi = c
-
-    @property
-    def _shape4(self) -> tuple:
-        return (self.dim_out, self.dim_in, self.dim_out, self.dim_in)
+        if not prechecked:
+            # one map at a time: the peak stays at one map's temporaries
+            for one in c.reshape(-1, want, want):
+                _require_finite(one)
+                if not is_psd(one):
+                    raise InvalidInstrumentError(_NOT_CP)
+        red = self.reduced
+        excess = np.linalg.eigvalsh((red + red.conj().swapaxes(-1, -2)) / 2 - np.eye(self.dim_in))
+        if excess.max(initial=0.0) > ABS_EPS:
+            raise InvalidInstrumentError(
+                f"map increases trace: max eigenvalue excess {excess.max():.3e}")
 
     @cached_property
     def _choi4(self) -> np.ndarray:
-        return self.choi.reshape(self._shape4)
+        return self.choi.reshape(self.choi.shape[:-2] + (self.dim_out, self.dim_in) * 2)
 
-    # ---------- action ----------
+    @cached_property
+    def reduced(self) -> np.ndarray:
+        """sum_a choi[a, i, a, j] of each map, the transpose of Phi^*(1)."""
+        return np.einsum("...aiaj->...ij", self._choi4)
+
+    # ---------- action, on each map of a stack ----------
 
     def apply(self, t: np.ndarray) -> np.ndarray:
         """Phi(t) for an arbitrary input matrix t."""
@@ -141,7 +132,7 @@ class CpMap:
             raise DimensionError(
                 f"input shape {t.shape}, expected ({self.dim_in}, {self.dim_in})"
             )
-        return np.einsum("aibj,ij->ab", self._choi4, t)
+        return np.einsum("...aibj,ij->...ab", self._choi4, t)
 
     def dual_apply(self, a: np.ndarray) -> np.ndarray:
         """Heisenberg dual: tr[Phi(t) a] = tr[t Phi^*(a)] for all t."""
@@ -150,41 +141,36 @@ class CpMap:
             raise DimensionError(
                 f"input shape {a.shape}, expected ({self.dim_out}, {self.dim_out})"
             )
-        return np.einsum("aibj,ba->ji", self._choi4, a)
+        return np.einsum("...aibj,ba->...ji", self._choi4, a)
 
 
 @dataclass
 class Instrument:
-    """Collection of CP maps labelled by outcomes, summing to a channel."""
+    """CP maps labelled by outcomes, summing to a channel: entry k of the
+    CpMap stack `maps` is the map of outcome k."""
 
     outcomes: tuple
-    maps: tuple
+    maps: CpMap
 
-    def __post_init__(self, prechecked: bool = False):
+    def __post_init__(self):
         self.outcomes = tuple(self.outcomes)
-        self.maps = tuple(self.maps)
-        if len(self.outcomes) != len(self.maps):
-            raise DimensionError(
-                f"{len(self.outcomes)} outcomes but {len(self.maps)} maps"
-            )
-        if not self.maps:
+        shape = self.maps.choi.shape
+        if len(shape) != 3 or shape[0] != len(self.outcomes):
+            raise DimensionError(f"{len(self.outcomes)} outcomes but a Choi stack {shape}")
+        if not self.outcomes:
             raise InvalidInstrumentError("instrument needs at least one outcome")
-        d_in = self.maps[0].dim_in
-        d_out = self.maps[0].dim_out
-        for m in self.maps:
-            if (m.dim_in, m.dim_out) != (d_in, d_out):
-                raise DimensionError("instrument maps have mismatched dimensions")
-        if not prechecked:
-            total = sum(m.dual_apply(np.eye(d_out)) for m in self.maps)
-            _require_trace_preserving(float(np.linalg.norm(total - np.eye(d_in))))
+        # the total dual map of 1, transposed, against 1
+        defect = float(np.linalg.norm(self.maps.reduced.sum(axis=0) - np.eye(self.dim_in)))
+        if defect > ABS_EPS:
+            raise InvalidInstrumentError(f"total map is not trace preserving: defect {defect:.3e}")
 
     @property
     def dim_in(self) -> int:
-        return self.maps[0].dim_in
+        return self.maps.dim_in
 
     @property
     def dim_out(self) -> int:
-        return self.maps[0].dim_out
+        return self.maps.dim_out
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -252,36 +238,22 @@ def covariant_instrument(ws: WeylSystem, mm: CovariantMeasure) -> Instrument:
 
     I_k(rho) = sum_y U_y^dag Phi^{M'(y)}_k(rho) U_y with
     M'(y) = U_y^dag m(y) U_y, in the closed form of the module docstring
-    with the Hermitian parts of the densities, which also carry the CpMap
-    and Instrument checks (`_check_closed_form`).
+    with the Hermitian parts of the densities, whose spectra carry the
+    finiteness and positivity checks of the maps.
     """
     if mm.group != ws.group:
         raise InvalidMeasureError("measure group does not match the Weyl system")
     n = ws.dim
     add, sub = ws.group.add_table, ws.group.sub_table
     herm = mm.hermitian
-    _check_closed_form(ws.group, herm)
-    k, a, b, y = np.ix_(*(np.arange(n),) * 4)
-    chois = np.zeros((n,) * 5, dtype=complex)
-    chois[k, a, add[a, y], b, add[b, y]] = herm[y, sub[k, a], sub[k, b]]
-    chois = chois.reshape(n, n * n, n * n)
-    maps = tuple(_prechecked(CpMap, dim_in=n, dim_out=n, choi=chois[k]) for k in range(n))
-    return _prechecked(Instrument, outcomes=ws.group.elements, maps=maps)
-
-
-def _check_closed_form(group: Group, herm: np.ndarray) -> None:
-    """CpMap's and Instrument's checks of the closed-form instrument, made
-    from its Hermitian densities herm as the module docstring explains, in
-    the same order and with the same errors."""
     _require_finite(herm)
     if not np.linalg.eigvalsh(herm).min(initial=0.0) >= -slack(herm).max():  # slack(Choi_k)
         raise InvalidInstrumentError(_NOT_CP)
-    sub = group.sub_table
-    k, i, a = np.ix_(*(np.arange(group.order),) * 3)
-    red = np.einsum("ypp->yp", herm).real[sub[i, a], sub[k, a]].sum(axis=2)
-    for row in red:
-        _require_trace_non_increasing(row - 1.0)
-    _require_trace_preserving(float(np.linalg.norm(red.sum(axis=0) - 1.0)))
+    k, a, b, y = np.ix_(*(np.arange(n),) * 4)
+    chois = np.zeros((n,) * 5, dtype=complex)
+    chois[k, a, add[a, y], b, add[b, y]] = herm[y, sub[k, a], sub[k, b]]
+    maps = _prechecked(dim_in=n, dim_out=n, choi=chois.reshape(n, n * n, n * n))
+    return Instrument(ws.group.elements, maps)
 
 
 # ==================== covariance ====================
@@ -342,7 +314,7 @@ def verify_covariance(ws: WeylSystem, instr: Instrument) -> float:
     q = add[add[p, d], sub[u, v]]
     at = (sub * n)[k, q]  # flat index of C_K[K - p, K + u, K - q, K + v]
     at += (k * n**4 + sub[k, p] * n**3) + (add[k, u] * n**2 + add[k, v])
-    f = np.concatenate([m.choi for m in instr.maps]).reshape(-1).take(at)
+    f = instr.maps.choi.reshape(-1).take(at)
     del at  # each n^5 temporary goes once used: at most three are alive
     diff = (f[:, :, 0, :, None] - f[:, :, 0, None]).view(float)  # [u, v, K, K', (p, re/im)]
     same = np.einsum("...p,...p->...", diff, diff)
@@ -377,7 +349,7 @@ def reconstruct_measure(ws: WeylSystem, instr: Instrument) -> CovariantMeasure:
     require_covariant(ws, instr)
     n = ws.dim
     add, sub = ws.group.add_table, ws.group.sub_table
-    c5 = np.array([m.choi for m in instr.maps]).reshape((n,) * 5)
+    c5 = instr.maps.choi.reshape((n,) * 5)
     k, y, p, q = np.ix_(*(np.arange(n),) * 4)
     a, b = sub[k, p], sub[k, q]
     mstack = c5[k, a, add[a, y], b, add[b, y]].sum(axis=0) / n

@@ -70,6 +70,7 @@ class SpinFrame:
         self.a_op = pauli_vector(a)
         self.b_op = pauli_vector(b)
         self.basis = self._measurement_basis()
+        self.ws = WeylSystem(Group((2,)))  # the two-point system the frame realizes
 
     def _measurement_basis(self) -> np.ndarray:
         """Columns (e_plus, e_minus) with e_minus = (b . sigma) e_plus and
@@ -133,13 +134,11 @@ def kronecker_factorization_check(frame: SpinFrame, omega: np.ndarray,
     p = frame.basis
     omega_f = p.conj().T @ omega @ p
     rho_f = p.conj().T @ rho @ p
-    ws = WeylSystem(Group((2,)))
-    instr = standard_instrument(ws, omega_f)
+    lhs = standard_instrument(frame.ws, omega_f).maps.apply(rho_f)
     translates = [np.eye(2, dtype=complex), frame.b_op]
     res = 0.0
     for k in range(2):
-        lhs = instr.maps[k].apply(rho_f)
         moved = translates[k] @ omega @ translates[k].conj().T
         rhs = rho_f * (p.conj().T @ moved @ p)
-        res = max(res, float(np.abs(lhs - rhs).max()))
+        res = max(res, float(np.abs(lhs[k] - rhs).max()))
     return res

@@ -18,7 +18,7 @@ from .instruments import (
     reconstruction_residual,
     verify_covariance,
 )
-from .observables import cpso_from_state, measure, smear_momentum, smear_position
+from .observables import cpso_from_state, smear_momentum, smear_position
 from .sequential import (
     cpso_defect,
     generating_state,

@@ -107,18 +107,60 @@ def compose_maps(second: CpMap, first: CpMap) -> CpMap:
     return CpMap(first.dim_in, second.dim_out, c.reshape(d, d))
 
 
+def map_at(instr: Instrument, k: int) -> CpMap:
+    """The map of outcome k alone, checked as a CpMap of its own."""
+    return CpMap(instr.dim_in, instr.dim_out, instr.maps.choi[k])
+
+
+def maps_of(instr: Instrument) -> list:
+    """Every map of an instrument, one CpMap each, in outcome order."""
+    return [map_at(instr, k) for k in range(len(instr))]
+
+
+def instrument_of(outcomes, maps) -> Instrument:
+    """The instrument whose outcome k has the separate CpMap maps[k]."""
+    first = maps[0]
+    return Instrument(outcomes, CpMap(first.dim_in, first.dim_out,
+                                      np.array([m.choi for m in maps])))
+
+
 def associated_observable(instr: Instrument) -> Povm:
     """POVM recording only the outcome statistics of an instrument."""
     eye = np.eye(instr.dim_out)
-    return Povm(instr.outcomes, np.array([m.dual_apply(eye) for m in instr.maps]))
+    return Povm(instr.outcomes, np.array([m.dual_apply(eye) for m in maps_of(instr)]))
 
 
 def compose_sequential(first: Instrument, second: Instrument) -> Instrument:
     """Run `first`, then `second` on the output. Outcomes are pairs,
     first-outcome major."""
     outcomes = tuple((a, b) for a in first.outcomes for b in second.outcomes)
-    maps = tuple(compose_maps(s, f) for f in first.maps for s in second.maps)
-    return Instrument(outcomes, maps)
+    maps = [compose_maps(s, f) for f in maps_of(first) for s in maps_of(second)]
+    return instrument_of(outcomes, maps)
+
+
+def dense_instrument_failure(chois: np.ndarray, dim_in: int, dim_out: int) -> str | None:
+    """The message of the first check that the instrument with Choi stack
+    `chois` fails, None if it passes, from the literal checks one map at a
+    time: finite entries, the full spectrum of the Hermitian part against
+    -1e-9 (1 + max|entry|), the spectrum of the reduced map tr_out Choi_k
+    against 1 + 1e-9; then the total map's Frobenius distance from the
+    identity channel's reduced map, against 1e-9. Input maps are taken to
+    be Hermitian."""
+    total = np.zeros((dim_in, dim_in), dtype=complex)
+    for c in chois:
+        if not np.all(np.isfinite(c)):
+            return "Choi matrix has non-finite entries"
+        if np.linalg.eigvalsh((c + c.conj().T) / 2).min() < -1e-9 * (1 + np.abs(c).max()):
+            return "Choi matrix is not positive semidefinite (map not CP)"
+        red = partial_trace_first(c, dim_out, dim_in)
+        excess = np.linalg.eigvalsh((red + red.conj().T) / 2).max() - 1.0
+        if excess > 1e-9:
+            return f"map increases trace: max eigenvalue excess {excess:.3e}"
+        total += red
+    defect = float(np.linalg.norm(total - np.eye(dim_in)))
+    if defect > 1e-9:
+        return f"total map is not trace preserving: defect {defect:.3e}"
+    return None
 
 
 # ==================== group arithmetic on element tuples ====================
@@ -267,8 +309,9 @@ def dense_covariance_defect(ws: WeylSystem, chois: np.ndarray) -> float:
 def dense_joint_effects(ws: WeylSystem, instr) -> np.ndarray:
     """effect(x, chi) = I_x^*(B({chi})), one dual map call per outcome pair."""
     n = ws.dim
+    maps = maps_of(instr)
     return np.array([
-        instr.maps[x].dual_apply(ws.momentum_effects[c])
+        maps[x].dual_apply(ws.momentum_effects[c])
         for x in range(n) for c in range(n)
     ])
 

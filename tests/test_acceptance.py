@@ -37,7 +37,7 @@ from weylseq import (
 from weylseq import rand
 from weylseq.sequential import cpso_defect
 from conftest import GROUPS_UP_TO_12
-from oracles import coupling_unitary, dense_joint_effects, sub
+from oracles import coupling_unitary, dense_joint_effects, maps_of, sub
 
 GROUPS_ORDER_LE_6 = [(2,), (3,), (4,), (2, 2), (5,), (6,), (2, 3)]
 
@@ -236,7 +236,7 @@ def test_instrument_probability_law():
     for ws, instr in instruments:
         for _ in range(100):
             rho = rand.state(rng, ws.dim)
-            probs = np.array([np.trace(m.apply(rho)).real for m in instr.maps])
+            probs = np.array([np.trace(m.apply(rho)).real for m in maps_of(instr)])
             worst_sum = max(worst_sum, abs(probs.sum() - 1.0))
             worst_neg = max(worst_neg, -probs.min())
     ok_sum = _report("probability-normalization (9 instruments x 100 states)",

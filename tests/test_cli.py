@@ -256,6 +256,18 @@ def test_verify_all_group3(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("group", ["3", "2x2", "4"])
+def test_verify_spin_suite_refuses_other_groups(group, capsys):
+    # the spin suite realizes only the two-point group; --suite all still
+    # runs it next to the other suites on any group
+    assert main(["verify", "--suite", "spin", "--group", group]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the spin suite runs on the group 2 only, not {group}\n"
+    assert main(["verify", "--suite", "spin", "--group", "2"]) == 0
+    assert "suite=spin group=2 seed=42" in capsys.readouterr().out
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "bogus"]) == 1
     assert "unknown suite" in capsys.readouterr().err

@@ -38,11 +38,13 @@ from oracles import (
     dense_covariant_chois,
     dense_cpso_covariance,
     dense_cpso_effects,
+    dense_instrument_failure,
     dense_joint_effects,
     dense_reconstruct_measure,
     dense_reconstruction_residual,
     dense_translated_total_density,
     dense_weyl_relation_residual,
+    maps_of,
 )
 
 LADDER = [(2,), (3,), (2, 2), (5,), (2, 3), (8,), (2, 2, 2), (3, 3), (10,), (12,),
@@ -51,7 +53,7 @@ ORDER_LE_8 = [m for m in LADDER if np.prod(m) <= 8]
 
 
 def chois_of(instr):
-    return np.array([m.choi for m in instr.maps])
+    return instr.maps.choi
 
 
 def random_instrument_chois(rng, n, kraus_per_outcome=2):
@@ -110,7 +112,7 @@ def perturbed(ws, rng, kind, eps):
     base = chois_of(covariant_instrument(ws, rand.covariant_measure(rng, ws.group)))
     other = PERTURBATIONS[kind](ws, base, random_instrument_chois(rng, n))
     mix = (1 - eps) * base + eps * other
-    return Instrument(ws.group.elements, tuple(CpMap(n, n, c) for c in mix)), mix
+    return Instrument(ws.group.elements, CpMap(n, n, mix)), mix
 
 
 @pytest.mark.parametrize("moduli", LADDER)
@@ -254,8 +256,8 @@ def check_measure_native(ws, rng):
     dense = dense_joint_effects(ws, instr)
     assert np.abs(run_sequential(ws, mm).joint.effects - dense).max() <= 1e-15
     union = np.sort(np.linalg.eigvalsh(mm.hermitian).reshape(-1))
-    for m in instr.maps:
-        assert np.abs(np.linalg.eigvalsh(m.choi) - union).max() <= 1e-14
+    for choi in instr.maps.choi:
+        assert np.abs(np.linalg.eigvalsh(choi) - union).max() <= 1e-14
 
 
 @pytest.mark.parametrize("moduli", LADDER)
@@ -280,8 +282,7 @@ def dense_instrument_error(ws, mm):
     """The message of the full CpMap and Instrument checks on the dense stack."""
     n = ws.dim
     with pytest.raises(InvalidInstrumentError) as exc:
-        Instrument(ws.group.elements,
-                   tuple(CpMap(n, n, c) for c in dense_covariant_chois(ws, mm)))
+        Instrument(ws.group.elements, CpMap(n, n, dense_covariant_chois(ws, mm)))
     return str(exc.value)
 
 
@@ -333,7 +334,7 @@ def test_density_just_above_the_floor_is_accepted(rng):
     mm = unchecked_measure(ws.group, m)
     instr = covariant_instrument(ws, mm)
     n = ws.dim
-    Instrument(ws.group.elements, tuple(CpMap(n, n, c) for c in chois_of(instr)))
+    Instrument(ws.group.elements, CpMap(n, n, chois_of(instr)))
 
 
 def test_total_trace_check_is_kept_for_a_valid_measure():
@@ -436,3 +437,70 @@ def test_stack_checks_treat_each_matrix_as_alone(kind, rng):
             assert str(exc.value) == not_psd.format(k=k)
         else:
             build(t)
+
+
+# ==================== one Choi stack per instrument ====================
+
+
+def one_defect(stack, k, kind):
+    """The Choi stack with map k given one defect of the given kind."""
+    t = stack.copy()
+    if kind in ("below_floor", "above_floor"):
+        w, q = np.linalg.eigh(t[k])
+        lowest = {"below_floor": -1e-6, "above_floor": -1e-11}[kind]
+        t[k] += (lowest - w[0]) * np.outer(q[:, 0], q[:, 0].conj())
+    elif kind == "trace_excess":
+        n = math.isqrt(t.shape[-1])
+        red = np.einsum("aiaj->ij", t[k].reshape(n, n, n, n))
+        t[k] *= 1.5 / np.linalg.eigvalsh(red).max()
+    else:  # the total map loses trace 1e-6 times map k's reduced map
+        t[k] *= 1 - 1e-6
+    return t
+
+
+ORDER_LE_8_GROUPS = st.lists(st.integers(2, 8), min_size=1, max_size=3).filter(
+    lambda m: math.prod(m) <= 8).map(tuple)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    moduli=ORDER_LE_8_GROUPS,
+    seed=st.integers(0, 2**32 - 1),
+    where=st.sampled_from(["first", "middle", "last"]),
+    kind=st.sampled_from(["below_floor", "above_floor", "trace_excess", "total_trace"]),
+)
+def test_stack_checks_decide_as_the_per_map_checks(moduli, seed, where, kind):
+    group = Group(moduli)
+    n = group.order
+    k = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+    stack = one_defect(random_instrument_chois(np.random.default_rng(seed), n), k, kind)
+    want = dense_instrument_failure(stack, n, n)
+    assert (want is None) == (kind == "above_floor")
+    if want is None:
+        Instrument(group.elements, CpMap(n, n, stack))
+        return
+    with pytest.raises(InvalidInstrumentError) as exc:
+        Instrument(group.elements, CpMap(n, n, stack))
+    assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("moduli", [(2,), (3,), (2, 2), (2, 3)])
+def test_stack_apply_matches_each_map(moduli, rng):
+    ws = WeylSystem(Group(moduli))
+    n = ws.dim
+    instr = Instrument(ws.group.elements, CpMap(n, n, random_instrument_chois(rng, n)))
+    t = rand.complex_matrix(rng, n)
+    out, dual = instr.maps.apply(t), instr.maps.dual_apply(t)
+    assert out.shape == dual.shape == (n, n, n)
+    for k, phi in enumerate(maps_of(instr)):
+        assert np.abs(out[k] - phi.apply(t)).max() <= 1e-15
+        assert np.abs(dual[k] - phi.dual_apply(t)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("moduli", [(2,), (2, 3), (8,)])
+def test_covariant_instrument_is_one_contiguous_stack(moduli, rng):
+    ws = WeylSystem(Group(moduli))
+    n = ws.dim
+    choi = covariant_instrument(ws, rand.covariant_measure(rng, ws.group)).maps.choi
+    assert choi.shape == (n, n * n, n * n)
+    assert choi.flags.c_contiguous

@@ -7,7 +7,6 @@ from weylseq import (
     CpMap,
     DimensionError,
     Group,
-    Instrument,
     InvalidMeasureError,
     NotCovariantError,
     WeylSystem,
@@ -31,7 +30,10 @@ from oracles import (
     coupling_unitary,
     from_kraus,
     identity_map,
+    instrument_of,
     kraus_operators,
+    map_at,
+    maps_of,
     partial_trace_second,
     sub,
 )
@@ -148,8 +150,8 @@ def test_coupling_unitary_and_intertwining(moduli):
 def test_standard_instrument_z2_point_probe(ws2):
     instr = standard_instrument(ws2, e_state(2, 0))
     rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
-    out0 = instr.maps[0].apply(rho)
-    out1 = instr.maps[1].apply(rho)
+    out0 = map_at(instr, 0).apply(rho)
+    out1 = map_at(instr, 1).apply(rho)
     assert_allclose(out0, np.diag([0.6, 0.0]), atol=1e-14)
     assert_allclose(out1, np.diag([0.0, 0.4]), atol=1e-14)
 
@@ -169,7 +171,7 @@ def test_standard_instrument_matches_literal_formula(moduli, rng):
         for k in range(n):
             proj = np.kron(eye, ws.position_effects[k])
             want = partial_trace_second(proj @ coupled, n, n)
-            got = instr.maps[k].apply(rho)
+            got = map_at(instr, k).apply(rho)
             assert np.abs(got - want).max() < 1e-12
 
 
@@ -198,7 +200,7 @@ def test_point_mass_reduces_to_standard(ws3, rng):
     mm = CovariantMeasure.point_mass(ws3, (0,), omega)
     instr_a = covariant_instrument(ws3, mm)
     instr_b = standard_instrument(ws3, omega)
-    for ma, mb in zip(instr_a.maps, instr_b.maps):
+    for ma, mb in zip(maps_of(instr_a), maps_of(instr_b)):
         assert np.abs(ma.choi - mb.choi).max() < 1e-12
 
 
@@ -210,8 +212,8 @@ def test_covariant_instrument_linear_in_measure(ws2, rng):
     i1 = covariant_instrument(ws2, m1)
     i2 = covariant_instrument(ws2, m2)
     for k in range(2):
-        want = 0.3 * i1.maps[k].choi + 0.7 * i2.maps[k].choi
-        assert np.abs(ia.maps[k].choi - want).max() < 1e-12
+        want = 0.3 * map_at(i1, k).choi + 0.7 * map_at(i2, k).choi
+        assert np.abs(map_at(ia, k).choi - want).max() < 1e-12
 
 
 def test_covariant_instrument_matches_normalized_translates(ws3, rng):
@@ -231,9 +233,9 @@ def test_covariant_instrument_matches_normalized_translates(ws3, rng):
         part = standard_instrument(ws3, omega_y)
         rot = np.kron(uy.conj().T, eye)
         for k in range(n):
-            total[k] += nu * (rot @ part.maps[k].choi @ rot.conj().T)
+            total[k] += nu * (rot @ map_at(part, k).choi @ rot.conj().T)
     for k in range(n):
-        assert np.abs(instr.maps[k].choi - total[k]).max() < 1e-12
+        assert np.abs(map_at(instr, k).choi - total[k]).max() < 1e-12
 
 
 def test_covariant_instrument_with_zero_point(ws2, rng):
@@ -260,9 +262,9 @@ def test_measure_validation(ws2):
 
 def test_instrument_validation(ws2):
     half = from_kraus([np.eye(2) / np.sqrt(2)])
-    Instrument(((0,), (1,)), (half, half))
+    instrument_of(((0,), (1,)), (half, half))
     with pytest.raises(ValueError):
-        Instrument(((0,), (1,)), (half, from_kraus([np.eye(2) * 0.1])))
+        instrument_of(((0,), (1,)), (half, from_kraus([np.eye(2) * 0.1])))
 
 
 def test_label_swap_stays_covariant(ws2):
@@ -271,7 +273,7 @@ def test_label_swap_stays_covariant(ws2):
     # U_1 omega U_1, so its measure moves rather than its covariance
     omega = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
     instr = standard_instrument(ws2, omega)
-    swapped = Instrument(instr.outcomes, (instr.maps[1], instr.maps[0]))
+    swapped = instrument_of(instr.outcomes, (map_at(instr, 1), map_at(instr, 0)))
     assert verify_covariance(ws2, swapped) < 1e-12
     back = reconstruct_measure(ws2, swapped)
     u1 = ws2.translations[1]
@@ -287,7 +289,7 @@ def test_covariance_detects_mismatched_probes(ws2):
     om2 = np.array([[0.7, -0.1], [-0.1, 0.3]], dtype=complex)
     i1 = standard_instrument(ws2, om1)
     i2 = standard_instrument(ws2, om2)
-    hybrid = Instrument(i1.outcomes, (i1.maps[0], i2.maps[1]))
+    hybrid = instrument_of(i1.outcomes, (map_at(i1, 0), map_at(i2, 1)))
     assert verify_covariance(ws2, hybrid) > 1e-3
     with pytest.raises(NotCovariantError):
         reconstruct_measure(ws2, hybrid)
@@ -329,16 +331,16 @@ def test_compose_sequential_marginal_law(ws2, rng):
     eye = np.eye(2)
     for i in range(2):
         total = sum(
-            seq.maps[i * 2 + j].dual_apply(eye) for j in range(2)
+            map_at(seq, i * 2 + j).dual_apply(eye) for j in range(2)
         )
         assert np.abs(total - first_obs.effects[i]).max() < 1e-12
     # probability consistency in a state
     rho = rand.state(rng, 2)
     for i in range(2):
         for j in range(2):
-            p_seq = np.trace(seq.maps[i * 2 + j].apply(rho)).real
+            p_seq = np.trace(map_at(seq, i * 2 + j).apply(rho)).real
             p_two = np.trace(
-                second.maps[j].apply(first.maps[i].apply(rho))
+                map_at(second, j).apply(map_at(first, i).apply(rho))
             ).real
             assert abs(p_seq - p_two) < 1e-12
 
@@ -351,7 +353,7 @@ def test_instrument_json_roundtrip(ws3, rng):
     instr = covariant_instrument(ws3, mm)
     group, back = instrument_from_json(instrument_to_json(ws3, instr))
     assert group == ws3.group
-    for ma, mb in zip(instr.maps, back.maps):
+    for ma, mb in zip(maps_of(instr), maps_of(back)):
         assert np.array_equal(ma.choi, mb.choi)
 
 

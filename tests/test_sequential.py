@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from weylseq import (
     CovariantMeasure,
     Group,
-    Instrument,
     NotCovariantError,
     WeylSystem,
     check_map,
@@ -26,7 +25,8 @@ from weylseq import (
 )
 from weylseq import rand
 from weylseq.sequential import cpso_defect, joint_from_measure, translated_total_density
-from oracles import associated_observable, compose_sequential, from_kraus, trace_norm
+from oracles import (associated_observable, compose_sequential, from_kraus, instrument_of,
+                     map_at, maps_of, trace_norm)
 
 
 def e_state(n, k):
@@ -112,7 +112,7 @@ def test_joint_observable_rejects_non_covariant(ws2):
     om2 = np.array([[0.7, -0.1], [-0.1, 0.3]], dtype=complex)
     i1 = standard_instrument(ws2, om1)
     i2 = standard_instrument(ws2, om2)
-    hybrid = Instrument(i1.outcomes, (i1.maps[0], i2.maps[1]))
+    hybrid = instrument_of(i1.outcomes, (map_at(i1, 0), map_at(i2, 1)))
     with pytest.raises(NotCovariantError):
         joint_observable(ws2, hybrid, CovariantMeasure.point_mass(ws2, (0,), om1))
 
@@ -123,7 +123,7 @@ def test_joint_observable_reports_the_defect_it_gated(ws2):
     om2 = om1 + np.array([[0.0, 1e-8], [1e-8, 0.0]])
     i1 = standard_instrument(ws2, om1)
     i2 = standard_instrument(ws2, om2)
-    hybrid = Instrument(i1.outcomes, (i1.maps[0], i2.maps[1]))
+    hybrid = instrument_of(i1.outcomes, (map_at(i1, 0), map_at(i2, 1)))
     mm = CovariantMeasure.point_mass(ws2, (0,), om1)
     joint, defect = joint_observable(ws2, hybrid, mm)
     assert defect == verify_covariance(ws2, hybrid)
@@ -237,7 +237,7 @@ def test_probability_law(ws3, rng):
     for _ in range(20):
         rho = rand.state(rng, 3)
         probs = np.array(
-            [np.trace(m.apply(rho)).real for m in instr.maps]
+            [np.trace(m.apply(rho)).real for m in maps_of(instr)]
         )
         assert probs.min() > -1e-12
         assert abs(probs.sum() - 1.0) < 1e-9
@@ -253,8 +253,8 @@ def test_joint_is_the_literal_sequential_measurement(moduli, rng):
     statistics of the composite are the joint observable."""
     ws = WeylSystem(Group(moduli))
     mm = rand.covariant_measure(rng, ws.group)
-    luders = Instrument(ws.group.elements,
-                        tuple(from_kraus([b]) for b in ws.momentum_effects))
+    luders = instrument_of(ws.group.elements,
+                           [from_kraus([b]) for b in ws.momentum_effects])
     literal = associated_observable(compose_sequential(covariant_instrument(ws, mm), luders))
     joint = run_sequential(ws, mm).joint
     assert literal.outcomes == joint.outcomes == ws.phase_points

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from weylseq import (
+    Group,
     SpinFrame,
     kronecker_factorization_check,
     pauli_vector,
@@ -13,6 +14,7 @@ from weylseq import (
     unsharp_spin,
 )
 from weylseq import rand
+from weylseq.suites import run_suite
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -158,6 +160,17 @@ def test_factorization_needs_the_right_basis(rng):
     rho = rand.state(rng, 2)
     f.basis = f.basis @ np.diag([1.0, np.exp(0.7j)])
     assert kronecker_factorization_check(f, omega, rho) > 1e-3
+
+
+def test_spin_suite_builds_one_group(monkeypatch):
+    # the frame holds the two-point Weyl system; each of the suite's trials
+    # reuses it rather than building a group and its tables anew
+    group, built = Group((2,)), []
+    init = Group.__post_init__
+    monkeypatch.setattr(Group, "__post_init__", lambda g: built.append(g) or init(g))
+    results = run_suite("spin", group, 7)
+    assert len(built) == 1 and built[0].moduli == (2,)
+    assert results["factorization"][0] < 1e-10
 
 
 def test_factorization_pure_probe(rng):

@@ -12,7 +12,16 @@ group of a fixed ladder, times these layers on one seeded measure:
 * ``verify_covariance`` -- the covariance check of that instrument;
 * ``joint_from_measure`` -- the joint observable's effects read off the
   measure, without the check (``joint_observable`` is exactly these two);
-* ``run_sequential`` -- the whole pipeline.
+* ``run_sequential`` -- the whole pipeline;
+* ``instrument_from_json`` -- the instrument decoded from its JSON dict,
+  with the checks of every loaded map;
+* ``instrument_verify`` -- that decoding and the covariance check of the
+  decoded instrument, as ``weylseq instrument verify`` runs them after
+  reading the file.
+
+The two loaded layers run on the groups of order <= 20 only: the JSON
+dict of an order-24 instrument holds 8 million float pairs (its file is
+about 300 MB).
 
 Wall time is the median of repeated calls (at least 3, more while a layer
 takes under 0.2 s, up to 15); peak memory is the tracemalloc peak of one
@@ -43,7 +52,8 @@ ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "BENCH_layers.json"
 LADDER = ("2", "3", "4", "6", "8", "12", "16", "20", "24", "2x3", "2x2x2", "3x4", "2x12")
 LAYERS = ("group_tables", "covariant_instrument", "verify_covariance", "joint_from_measure",
-          "run_sequential")
+          "run_sequential", "instrument_from_json", "instrument_verify")
+LOADED_MAX_ORDER = 20
 FIT_MIN_ORDER = 8
 SEED = 2011
 
@@ -92,13 +102,17 @@ def _git_rev(src: Path) -> str | None:
 def measure_ladder(src: Path) -> dict:
     sys.path.insert(0, str(src))
     import numpy as np
-    from weylseq import (Group, WeylSystem, covariant_instrument, rand, run_sequential,
-                         verify_covariance)
+    from weylseq import (Group, WeylSystem, covariant_instrument, instrument_from_json,
+                         instrument_to_json, rand, run_sequential, verify_covariance)
     from weylseq.sequential import joint_from_measure
 
     def group_tables(moduli):
         g = Group(moduli)
         return g.add_table, g.sub_table, g.neg_table, g.character_table, WeylSystem(g)
+
+    def instrument_verify(obj):
+        group, instr = instrument_from_json(obj)
+        return verify_covariance(WeylSystem(group), instr)
 
     groups = {}
     for spec in LADDER:
@@ -113,6 +127,10 @@ def measure_ladder(src: Path) -> dict:
             "joint_from_measure": lambda: joint_from_measure(ws, mm),
             "run_sequential": lambda: run_sequential(ws, mm),
         }
+        obj = instrument_to_json(ws, instr) if group.order <= LOADED_MAX_ORDER else None
+        if obj is not None:
+            calls["instrument_from_json"] = lambda: instrument_from_json(obj)
+            calls["instrument_verify"] = lambda: instrument_verify(obj)
         row = {"order": group.order}
         for layer, fn in calls.items():
             row[f"{layer}_s"] = float(f"{_timed(fn):.4g}")
@@ -124,7 +142,7 @@ def measure_ladder(src: Path) -> dict:
         for kind in ("s", "peak_mib"):
             key = f"{layer}_{kind}"
             exponents[key] = _fit([(r["order"], r[key]) for r in groups.values()
-                                   if r["order"] >= FIT_MIN_ORDER])
+                                   if r["order"] >= FIT_MIN_ORDER and key in r])
     return {
         "groups": groups,
         "exponent_in_n": exponents,

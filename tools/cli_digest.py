@@ -9,16 +9,21 @@ each of the groups 8, 2x3 and 2x2x2, a measure with one non-Hermitian
 density, a Z_2 measure and state whose traces sit just inside the
 validation allowance, and a Z_8 instrument that is not covariant (the
 closed form of the Z_8 measure mixed with its copy in which outcomes 0
-and 1 trade places), so that its covariance defect is printed. They are
-drawn with numpy from fixed seeds and written as JSON here, never by the
-package under test. Then it runs a fixed list of ``weylseq`` commands in
-that directory, with --src (default: this checkout's src/) on
-PYTHONPATH; the last ones pass option values that must be refused with
-exit 1 (a negative --seed, a spin axis with a NaN component or an
-overflowing norm, a group whose size overflows a float). It prints one
-line per output of each command (stdout,
-stderr, each --out file and each CSV file): its SHA-256, the command's
-exit code and a label. An output that was not written prints ``absent``
+and 1 trade places), so that its covariance defect is printed. Four more
+instrument files each fail a check of the loaded maps: a Z_8 closed form
+with map 3's smallest eigenvalue moved to -1e-6 (not CP), the Z_4 closed
+form of the measure 0.8 |e_y><e_y| at y = 0 and 1 (every map increases
+trace), a Z_8 closed form times 1 - 1e-6 (not trace preserving) and a
+Z_8 closed form whose map 0 increases trace and whose map 2 is not CP.
+They are drawn with numpy from fixed seeds and written as JSON here,
+never by the package under test. Then it runs a fixed list of
+``weylseq`` commands in that directory, with --src (default: this
+checkout's src/) on PYTHONPATH; the last ones pass option values that
+must be refused with exit 1 (a negative --seed, a spin axis with a NaN
+component or an overflowing norm, a group whose size overflows a float).
+It prints one line per output of each command (stdout, stderr, each
+--out file and each CSV file): its SHA-256, the command's exit code and
+a label. An output that was not written prints ``absent``
 in place of the digest.
 
 The lines depend only on the bytes the commands write, so ``diff`` of
@@ -104,6 +109,27 @@ def write_inputs(work: Path) -> None:
     measure["m"] = [_matrix(d * (1 + 6e-10)) for d in m]
     _dump(work / "m2_scaled.json", measure)
     _dump(work / "s2_scaled.json", _matrix(_state(rng, 2) * (1 + 8e-10)))
+    rng = np.random.default_rng([SEED, len(GROUPS) + 1])
+    _, m8 = _measure(rng, [8])
+    excess = np.zeros((4, 4, 4), dtype=complex)
+    excess[0, 0, 0] = excess[1, 1, 1] = 0.8
+    two = _closed_form(m8)
+    red = np.einsum("aiaj->ij", two[0].reshape(8, 8, 8, 8))
+    two[0] *= 2.0 / np.linalg.eigvalsh(red).max()
+    for name, moduli, chois in [
+            ("not_cp", [8], _lowest_at(_closed_form(m8), 3, -1e-6)),
+            ("excess_trace", [4], _closed_form(excess)),
+            ("not_tp", [8], _closed_form(m8) * (1 - 1e-6)),
+            ("two_defects", [8], _lowest_at(two, 2, -1e-6))]:
+        _dump(work / f"{name}.json", {"group": {"moduli": moduli},
+                                      "maps": [{"choi": _matrix(c)} for c in chois]})
+
+
+def _lowest_at(chois: np.ndarray, k: int, value: float) -> np.ndarray:
+    """Move map k's smallest eigenvalue to value, in place; returns chois."""
+    w, q = np.linalg.eigh(chois[k])
+    chois[k] += (value - w[0]) * np.outer(q[:, 0], q[:, 0].conj())
+    return chois
 
 
 def _dump(path: Path, obj) -> None:
@@ -140,6 +166,11 @@ def commands() -> list:
         ("8 swapped instrument reconstruct", ["instrument", "reconstruct", "--in",
                                               "swapped.json", "--out", "swapped_back.json"],
          ["swapped_back.json"]),
+        *[(f"{name} instrument {cmd}", ["instrument", cmd, "--in", f"{name}.json", *out],
+           out[1:])
+          for name in ("not_cp", "excess_trace", "not_tp", "two_defects")
+          for cmd, out in (("verify", []),
+                           ("reconstruct", ["--out", f"{name}_back.json"]))],
         ("demo spin negative seed", ["demo", "spin", "--seed", "-1"], []),
         ("verify negative seed", ["verify", "--suite", "spin", "--seed", "-5"], []),
         ("demo spin overflowing axis", ["demo", "spin", "--a", "1e308,1e308,0",

@@ -458,13 +458,9 @@ def one_defect(stack, k, kind):
     return t
 
 
-ORDER_LE_8_GROUPS = st.lists(st.integers(2, 8), min_size=1, max_size=3).filter(
-    lambda m: math.prod(m) <= 8).map(tuple)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
-    moduli=ORDER_LE_8_GROUPS,
+    moduli=GROUPS_UP_TO_12.filter(lambda m: math.prod(m) <= 8),
     seed=st.integers(0, 2**32 - 1),
     where=st.sampled_from(["first", "middle", "last"]),
     kind=st.sampled_from(["below_floor", "above_floor", "trace_excess", "total_trace"]),

@@ -32,11 +32,11 @@ per Choi entry (the literal construction is the test oracle in
 
 A translation shifts k with every index; a modulation multiplies an
 entry by chi(a - i - b + j), which is 1 on the support i - a = j - b.
-So the closed form is exactly covariant. `verify_covariance` checks
-these two properties on any instrument: it sorts the Choi entries into
-character sectors and compares every pair of outcomes at once, with one
-Gram product per sector and one product with the character table, O(n^6)
-flops in BLAS and O(n^5) elementwise work and memory.
+So the closed form is exactly covariant, and by Theorem 4.1 it is all the
+action fixes. `verify_covariance` tests that exactly in O(n^5); any other
+instrument gets the pair form, which compares every pair of outcomes by
+character sectors, with one Gram product per sector and one product with
+the character table, O(n^6) flops in BLAS and O(n^5) work and memory.
 
 An instrument keeps its n Choi matrices as one (n, n^2, n^2) stack, a
 single `CpMap`, and every instrument's trace checks read that stack's
@@ -123,25 +123,14 @@ class CpMap:
         """sum_a choi[a, i, a, j] of each map, the transpose of Phi^*(1)."""
         return np.einsum("...aiaj->...ij", self._choi4)
 
-    # ---------- action, on each map of a stack ----------
-
     def apply(self, t: np.ndarray) -> np.ndarray:
-        """Phi(t) for an arbitrary input matrix t."""
+        """Phi(t) for an arbitrary input matrix t, from each map of a stack."""
         t = np.asarray(t, dtype=complex)
         if t.shape != (self.dim_in, self.dim_in):
             raise DimensionError(
                 f"input shape {t.shape}, expected ({self.dim_in}, {self.dim_in})"
             )
         return np.einsum("...aibj,ij->...ab", self._choi4, t)
-
-    def dual_apply(self, a: np.ndarray) -> np.ndarray:
-        """Heisenberg dual: tr[Phi(t) a] = tr[t Phi^*(a)] for all t."""
-        a = np.asarray(a, dtype=complex)
-        if a.shape != (self.dim_out, self.dim_out):
-            raise DimensionError(
-                f"input shape {a.shape}, expected ({self.dim_out}, {self.dim_out})"
-            )
-        return np.einsum("...aibj,ba->...ji", self._choi4, a)
 
 
 @dataclass
@@ -272,10 +261,16 @@ def require_covariant(ws: WeylSystem, instr: Instrument) -> float:
     """`verify_covariance`, raising NotCovariantError beyond COVARIANCE_GATE."""
     defect = verify_covariance(ws, instr)
     if defect > COVARIANCE_GATE:
-        raise NotCovariantError(
-            f"covariance defect {defect:.3e} exceeds {COVARIANCE_GATE}"
-        )
+        raise NotCovariantError(f"covariance defect {defect:.3e} exceeds {COVARIANCE_GATE}")
     return defect
+
+
+def _orbits(ws: WeylSystem, instr: Instrument) -> np.ndarray:
+    """[k, y, p, q] -> Choi_k[k - p, k - p + y, k - q, k - q + y]."""
+    add, sub = ws.group.add_table, ws.group.sub_table
+    k, y, p, q = np.ix_(*(np.arange(ws.dim),) * 4)
+    a, b = sub[k, p], sub[k, q]
+    return instr.maps.choi.reshape((ws.dim,) * 5)[k, a, add[a, y], b, add[b, y]]
 
 
 def verify_covariance(ws: WeylSystem, instr: Instrument) -> float:
@@ -283,13 +278,24 @@ def verify_covariance(ws: WeylSystem, instr: Instrument) -> float:
 
         max_k,x,chi,(i,j) || I_{k+x}(E_ij) - W I_k(W^dag E_ij W) W^dag ||_F
 
-    Conjugation by W moves the Choi entries by x and multiplies them by
-    chi(a - i - b + j). With F[K, p, d, u, v] = C_K[K - p, K + u, K - q,
-    K + v], q = p + d + u - v, the phase is chi(d), the move is K -> K + x,
-    and block (k + x, i, j) is (K, u, v) = (k + x, i - K, j - K), whose
-    Frobenius norm is the one above. As (K, x) runs over G x G, (K, K - x)
-    runs over every pair (K, K'), and for A = F[K], T = F[K'], summed over
-    p and d:
+    A stack with equal entries in each orbit (`_orbits`) and zeros elsewhere
+    is fixed by every W and gets +0.0, the pair form's value on it, in
+    O(n^5) time and O(n^4) memory. Any other gets `_pair_defect`.
+    """
+    _require_group_instrument(ws, instr)
+    on = _orbits(ws, instr)
+    exact = np.count_nonzero(instr.maps.choi) == np.count_nonzero(on) and (on == on[:1]).all()
+    return 0.0 if exact else _pair_defect(ws, instr)
+
+
+def _pair_defect(ws: WeylSystem, instr: Instrument) -> float:
+    """`verify_covariance` by every pair of outcomes: conjugation by W moves
+    the Choi entries by x and multiplies them by chi(a - i - b + j). With
+    F[K, p, d, u, v] = C_K[K - p, K + u, K - q, K + v], q = p + d + u - v,
+    the phase is chi(d), the move is K -> K + x, and block (k + x, i, j) is
+    (K, u, v) = (k + x, i - K, j - K), whose Frobenius norm is the one
+    above. As (K, x) runs over G x G, (K, K - x) runs over every pair
+    (K, K'), and for A = F[K], T = F[K'], summed over p and d:
 
         ||A - chi T||^2 = ||A_0 - T_0||^2 + N[K] + N[K']
                           - 2 Re sum_{d != 0} chi(d) H_d[K, K'],
@@ -307,7 +313,6 @@ def verify_covariance(ws: WeylSystem, instr: Instrument) -> float:
     the root. Exactly covariant input, whose F[K] are bitwise equal and
     zero off d = 0, gives exactly +0.0.
     """
-    _require_group_instrument(ws, instr)
     n = ws.dim
     add, sub = ws.group.add_table, ws.group.sub_table
     u, v, d, k, p = np.ix_(*(np.arange(n),) * 5)
@@ -347,12 +352,7 @@ def reconstruct_measure(ws: WeylSystem, instr: Instrument) -> CovariantMeasure:
     Raises NotCovariantError if the covariance defect exceeds 1e-6.
     """
     require_covariant(ws, instr)
-    n = ws.dim
-    add, sub = ws.group.add_table, ws.group.sub_table
-    c5 = instr.maps.choi.reshape((n,) * 5)
-    k, y, p, q = np.ix_(*(np.arange(n),) * 4)
-    a, b = sub[k, p], sub[k, q]
-    mstack = c5[k, a, add[a, y], b, add[b, y]].sum(axis=0) / n
+    mstack = _orbits(ws, instr).sum(axis=0) / ws.dim
     mstack = (mstack + mstack.conj().transpose(0, 2, 1)) / 2
     return CovariantMeasure(ws.group, mstack)
 

@@ -21,9 +21,9 @@ a linear, involutive, positivity- and trace-preserving reflection.
 Theorem 4.1 makes the measure the whole instrument, so `joint_observable`
 takes the measure along with the instrument built from it and reads the
 effects off m in O(n^5) (`joint_from_measure`), after checking the
-instrument's covariance (`verify_covariance`: O(n^6) flops in two matrix
-products, O(n^5) other work). The dense route through the Choi stack is
-the test oracle.
+instrument's covariance (`verify_covariance`, O(n^5) on a closed form,
+O(n^6) on any other instrument). The dense route through the Choi stack
+is the test oracle.
 """
 
 from __future__ import annotations

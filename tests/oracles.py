@@ -107,6 +107,18 @@ def compose_maps(second: CpMap, first: CpMap) -> CpMap:
     return CpMap(first.dim_in, second.dim_out, c.reshape(d, d))
 
 
+def dual_apply(phi: CpMap, a: np.ndarray) -> np.ndarray:
+    """Heisenberg dual of phi, or of each map of a stack:
+    tr[Phi(t) a] = tr[t Phi^*(a)] for all t."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (phi.dim_out, phi.dim_out):
+        raise DimensionError(
+            f"input shape {a.shape}, expected ({phi.dim_out}, {phi.dim_out})"
+        )
+    choi4 = phi.choi.reshape(phi.choi.shape[:-2] + (phi.dim_out, phi.dim_in) * 2)
+    return np.einsum("...aibj,ba->...ji", choi4, a)
+
+
 def map_at(instr: Instrument, k: int) -> CpMap:
     """The map of outcome k alone, checked as a CpMap of its own."""
     return CpMap(instr.dim_in, instr.dim_out, instr.maps.choi[k])
@@ -127,7 +139,7 @@ def instrument_of(outcomes, maps) -> Instrument:
 def associated_observable(instr: Instrument) -> Povm:
     """POVM recording only the outcome statistics of an instrument."""
     eye = np.eye(instr.dim_out)
-    return Povm(instr.outcomes, np.array([m.dual_apply(eye) for m in maps_of(instr)]))
+    return Povm(instr.outcomes, np.array([dual_apply(m, eye) for m in maps_of(instr)]))
 
 
 def compose_sequential(first: Instrument, second: Instrument) -> Instrument:
@@ -311,7 +323,7 @@ def dense_joint_effects(ws: WeylSystem, instr) -> np.ndarray:
     n = ws.dim
     maps = maps_of(instr)
     return np.array([
-        maps[x].dual_apply(ws.momentum_effects[c])
+        dual_apply(maps[x], ws.momentum_effects[c])
         for x in range(n) for c in range(n)
     ])
 

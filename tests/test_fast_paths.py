@@ -17,20 +17,24 @@ from weylseq import (
     HermiticityError,
     Instrument,
     InvalidInstrumentError,
+    NotCovariantError,
     Povm,
     WeylSystem,
     covariant_instrument,
     cpso_from_state,
+    instrument_from_json,
+    instrument_to_json,
     is_psd,
     joint_observable,
     reconstruct_measure,
     reconstruction_residual,
     run_sequential,
+    standard_instrument,
     verify_covariance,
     verify_cpso_covariance,
     weyl_relation_residual,
 )
-from weylseq import rand
+from weylseq import codec, instruments, rand
 from weylseq.sequential import translated_total_density
 from conftest import GROUPS_UP_TO_12
 from oracles import (
@@ -44,6 +48,9 @@ from oracles import (
     dense_reconstruction_residual,
     dense_translated_total_density,
     dense_weyl_relation_residual,
+    dual_apply,
+    instrument_of,
+    map_at,
     maps_of,
 )
 
@@ -172,6 +179,142 @@ def test_sector_defect_property(moduli, seed, kind, log_eps):
     want = dense_covariance_defect(ws, mix)
     # 1e-15 absolute: the dense oracle's own rounding floor
     assert abs(verify_covariance(ws, instr) - want) <= 1e-12 * want + 1e-15
+
+
+# ==================== the exact exit ahead of the pair form ====================
+
+
+def same_float(a, b):
+    """Equal values of the same sign, so that +0.0 and -0.0 differ."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def hybrid(ws2, om2):
+    """Outcome 0 of the standard instrument with one Z_2 probe and outcome 1
+    of the one with another, as in the instrument and sequential tests."""
+    om1 = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
+    i1, i2 = standard_instrument(ws2, om1), standard_instrument(ws2, om2)
+    return instrument_of(i1.outcomes, (map_at(i1, 0), map_at(i2, 1)))
+
+
+def with_entries(ws, instr, changes):
+    """A copy of instr with Choi_k[row, col] += delta for each
+    ((k, row, col), delta) of changes, checked as a new instrument."""
+    c = instr.maps.choi.copy()
+    for at, delta in changes:
+        c[at] += delta
+    return Instrument(ws.group.elements, CpMap(ws.dim, ws.dim, c))
+
+
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """The id of the instrument of each call of the pair form behind
+    verify_covariance."""
+    calls = []
+    pair = instruments._pair_defect
+
+    def counted(ws, instr):
+        calls.append(id(instr))
+        return pair(ws, instr)
+
+    monkeypatch.setattr(instruments, "_pair_defect", counted)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    moduli=SMALL_GROUPS,
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(sorted(PERTURBATIONS)),
+    log_eps=st.floats(-16.0, -1.0),
+)
+def test_exit_returns_the_pair_form_bitwise(moduli, seed, kind, log_eps):
+    ws = WeylSystem(Group(moduli))
+    rng = np.random.default_rng(seed)
+    exact = covariant_instrument(ws, rand.covariant_measure(rng, ws.group))
+    instr, _ = perturbed(ws, rng, kind, 10.0**log_eps)
+    for one in (exact, instr):
+        assert same_float(verify_covariance(ws, one), instruments._pair_defect(ws, one))
+
+
+@pytest.mark.parametrize("moduli", LADDER)
+def test_closed_forms_never_reach_the_pair_form(moduli, rng, pair_calls):
+    ws = WeylSystem(Group(moduli))
+    mm = rand.covariant_measure(rng, ws.group)
+    instr = covariant_instrument(ws, mm)
+    assert same_float(verify_covariance(ws, instr), 0.0)
+    assert same_float(run_sequential(ws, mm).covariance_defect, 0.0)
+    reconstruct_measure(ws, instr)
+    # floats round-trip bit-exactly, so a built instrument's file takes the exit too
+    _, loaded = instrument_from_json(codec.loads(codec.dumps(instrument_to_json(ws, instr))))
+    assert same_float(verify_covariance(ws, loaded), 0.0)
+    assert not pair_calls
+
+
+def test_the_z2_outcome_swap_is_a_translation_and_takes_the_exit(rng, pair_calls):
+    ws = WeylSystem(Group((2,)))
+    instr, _ = perturbed(ws, rng, "outcome_swap", 0.3)
+    assert same_float(verify_covariance(ws, instr), 0.0)
+    assert not pair_calls
+
+
+@pytest.mark.parametrize("moduli", [(2,), (3,), (2, 2), (2, 3), (8,)])
+def test_one_entry_off_the_exact_structure_reaches_the_pair_form(moduli, rng, pair_calls):
+    ws = WeylSystem(Group(moduli))
+    n = ws.dim
+    exact = covariant_instrument(ws, rand.covariant_measure(rng, ws.group))
+    # Choi_0[(0, 0), (0, 1)] and its mirror: i - a = 0 but j - b = 1
+    off = with_entries(ws, exact, [((0, 0, 1), 1e-300), ((0, 1, 0), 1e-300)])
+    # 1e-12 of the orbit entry m(0)[0, 0] moved from Choi_1[(1, 1), (1, 1)]
+    # to Choi_0[(0, 0), (0, 0)]: the pair (0, 1) differs by 2e-12
+    moved = with_entries(ws, exact, [((0, 0, 0), 1e-12), ((1, n + 1, n + 1), -1e-12)])
+    for instr in (off, moved):
+        assert same_float(verify_covariance(ws, instr), instruments._pair_defect(ws, instr))
+    assert pair_calls == [id(off), id(off), id(moved), id(moved)]
+    assert abs(verify_covariance(ws, moved) - 2e-12) <= 1e-15
+    assert abs(dense_covariance_defect(ws, moved.maps.choi) - 2e-12) <= 1e-15
+
+
+@pytest.mark.parametrize("om2, gated", [
+    (np.array([[0.7, -0.1], [-0.1, 0.3]]), True),
+    (np.array([[0.7, 0.1 + 1e-8], [0.1 + 1e-8, 0.3]]), False),
+])
+def test_hybrid_instruments_reach_the_pair_form(ws2, om2, gated, pair_calls):
+    instr = hybrid(ws2, om2)
+    mm = CovariantMeasure.point_mass(ws2, (0,), np.array([[0.7, 0.1], [0.1, 0.3]]))
+    if gated:
+        with pytest.raises(NotCovariantError):
+            joint_observable(ws2, instr, mm)
+    else:
+        assert joint_observable(ws2, instr, mm)[1] > 1e-9
+    assert pair_calls == [id(instr)]
+
+
+@pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
+@pytest.mark.parametrize("moduli", ORDER_LE_8)
+def test_perturbed_instruments_reach_the_pair_form(moduli, kind, rng, pair_calls):
+    ws = WeylSystem(Group(moduli))
+    instr, _ = perturbed(ws, rng, kind, 1e-3)
+    defect = verify_covariance(ws, instr)
+    if kind == "outcome_swap" and ws.dim == 2:
+        assert not pair_calls  # a translation, see the test above
+    else:
+        assert pair_calls == [id(instr)]
+        assert defect > 1e-5
+
+
+def test_negative_zeros_off_the_support_give_the_pair_forms_sign(rng):
+    ws = WeylSystem(Group((2, 3)))
+    n = ws.dim
+    exact = covariant_instrument(ws, rand.covariant_measure(rng, ws.group))
+    y = ws.group.sub_table.T.reshape(-1)  # i - a of the row or column (a, i)
+    c = exact.maps.choi.copy()
+    c[:, y[:, None] != y] = complex(-0.0, -0.0)
+    instr = Instrument(ws.group.elements, CpMap(n, n, c))
+    assert np.signbit(instr.maps.choi.real).any() and np.signbit(instr.maps.choi.imag).any()
+    got = verify_covariance(ws, instr)
+    assert same_float(got, instruments._pair_defect(ws, instr))
+    assert same_float(got, 0.0)
 
 
 # ==================== Weyl operators as gathers ====================
@@ -486,11 +629,11 @@ def test_stack_apply_matches_each_map(moduli, rng):
     n = ws.dim
     instr = Instrument(ws.group.elements, CpMap(n, n, random_instrument_chois(rng, n)))
     t = rand.complex_matrix(rng, n)
-    out, dual = instr.maps.apply(t), instr.maps.dual_apply(t)
+    out, dual = instr.maps.apply(t), dual_apply(instr.maps, t)
     assert out.shape == dual.shape == (n, n, n)
     for k, phi in enumerate(maps_of(instr)):
         assert np.abs(out[k] - phi.apply(t)).max() <= 1e-15
-        assert np.abs(dual[k] - phi.dual_apply(t)).max() <= 1e-15
+        assert np.abs(dual[k] - dual_apply(phi, t)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("moduli", [(2,), (2, 3), (8,)])

@@ -50,7 +50,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "BENCH_layers.json"
-LADDER = ("2", "3", "4", "6", "8", "12", "16", "20", "24", "2x3", "2x2x2", "3x4", "2x12")
+LADDER = ("2", "3", "4", "6", "8", "12", "16", "20", "24", "32", "2x3", "2x2x2", "3x4", "2x12")
 LAYERS = ("group_tables", "covariant_instrument", "verify_covariance", "joint_from_measure",
           "run_sequential", "instrument_from_json", "instrument_verify")
 LOADED_MAX_ORDER = 20

@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 usage, I/O or parse error, 2 invariant failure
 (invalid measure or state, residual beyond tolerance). Each command
 accepts only the options it reads. Reports are JSON
-with a fixed field order and shortest round-trip float formatting,
-written by `codec.dump` exactly as `json.dumps(report, indent=2)` would
-write them, so identical inputs produce byte-identical output.
+with a fixed field order and shortest round-trip float formatting, trees
+in the codec's layouts written by `codec.dump` exactly as `json.dumps`
+writes their list form, so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import numpy as np
 
 from . import rand
 from .algebra import RESIDUAL_GATE
-from .codec import (JSONDecodeError, dump, instrument_from_json, instrument_to_json,
-                    loads, matrix_from_json, matrix_to_json, measure_from_json,
-                    measure_to_json, povm_to_json, prob_to_json)
+from .codec import (JSONDecodeError, _instrument_layout, _measure_layout, _povm_layout,
+                    dump, instrument_from_json, loads, matrix_from_json, measure_from_json,
+                    prob_to_json)
 from .errors import GroupError, WeylseqError
 from .group import Group
 from .instruments import (
@@ -157,18 +157,10 @@ def cmd_sequential_run(args) -> int:
     residuals = {
         "covariance": result.covariance_defect,
         "joint_vs_cpso": cpso_defect(ws, result),
-        "marginal_a_vs_smear": float(
-            np.abs(
-                result.marginal_a.effects
-                - smear_position(ws, result.sigma).effects
-            ).max()
-        ),
-        "marginal_b_vs_smear": float(
-            np.abs(
-                result.marginal_b.effects
-                - smear_momentum(ws, result.tau).effects
-            ).max()
-        ),
+        "marginal_a_vs_smear": float(np.abs(
+            result.marginal_a.effects - smear_position(ws, result.sigma).effects).max()),
+        "marginal_b_vs_smear": float(np.abs(
+            result.marginal_b.effects - smear_momentum(ws, result.tau).effects).max()),
     }
     report = {
         "command": "sequential run",
@@ -176,10 +168,10 @@ def cmd_sequential_run(args) -> int:
         "group": mm.group.to_json(),
         "sigma": prob_to_json(result.sigma),
         "tau": prob_to_json(result.tau),
-        "generating_state": matrix_to_json(result.generating_state),
-        "joint": povm_to_json(result.joint),
-        "marginal_a": povm_to_json(result.marginal_a),
-        "marginal_b": povm_to_json(result.marginal_b),
+        "generating_state": result.generating_state,
+        "joint": _povm_layout(result.joint),
+        "marginal_a": _povm_layout(result.marginal_a),
+        "marginal_b": _povm_layout(result.marginal_b),
         "residuals": residuals,
     }
     # CSV files first, so that a CSV directory that cannot be written
@@ -219,7 +211,7 @@ def _write_csv(path: Path, header: list, rows) -> None:
 def cmd_instrument_build(args) -> int:
     mm = _load_object(args.measure, "measure", measure_from_json)
     ws = WeylSystem(mm.group)
-    _emit(instrument_to_json(ws, covariant_instrument(ws, mm)), args.out)
+    _emit(_instrument_layout(ws, covariant_instrument(ws, mm)), args.out)
     return 0
 
 
@@ -245,7 +237,7 @@ def cmd_instrument_verify(args) -> int:
 
 def cmd_instrument_reconstruct(args) -> int:
     group, instr = _load_object(args.infile, "instrument", instrument_from_json)
-    _emit(measure_to_json(reconstruct_measure(WeylSystem(group), instr)), args.out)
+    _emit(_measure_layout(reconstruct_measure(WeylSystem(group), instr)), args.out)
     return 0
 
 
@@ -261,7 +253,7 @@ def cmd_cpso(args) -> int:
     report = {
         "command": "cpso",
         "group": group.to_json(),
-        "povm": povm_to_json(povm),
+        "povm": _povm_layout(povm),
     }
     if args.check_ic:
         report["span_dimension"] = span = effect_span_dimension(povm)
@@ -305,8 +297,8 @@ def cmd_demo_spin(args) -> int:
         "s": s,
         "t": t,
         "tradeoff": s * s + t * t,
-        "povm_a": povm_to_json(povm_a),
-        "povm_b": povm_to_json(povm_b),
+        "povm_a": _povm_layout(povm_a),
+        "povm_b": _povm_layout(povm_b),
         "factorization_residual": fact,
     }
     _emit(report, args.out)
@@ -342,14 +334,8 @@ def cmd_verify(args) -> int:
 def cmd_dump_weyl(args) -> int:
     group = _parse_group(args.group or "2")
     ws = WeylSystem(group)
-    report = {
-        "command": "dump-weyl",
-        "group": group.to_json(),
-        "u": [matrix_to_json(m) for m in ws.translations],
-        "v": [matrix_to_json(m) for m in ws.modulations],
-        "fourier": matrix_to_json(ws.fourier),
-    }
-    _emit(report, args.out)
+    _emit({"command": "dump-weyl", "group": group.to_json(), "u": ws.translations,
+           "v": ws.modulations, "fourier": ws.fourier}, args.out)
     return 0
 
 

@@ -259,7 +259,10 @@ def _require_group_instrument(ws: WeylSystem, instr: Instrument) -> None:
 
 def require_covariant(ws: WeylSystem, instr: Instrument) -> float:
     """`verify_covariance`, raising NotCovariantError beyond COVARIANCE_GATE."""
-    defect = verify_covariance(ws, instr)
+    return _gated(verify_covariance(ws, instr))
+
+
+def _gated(defect: float) -> float:
     if defect > COVARIANCE_GATE:
         raise NotCovariantError(f"covariance defect {defect:.3e} exceeds {COVARIANCE_GATE}")
     return defect
@@ -282,10 +285,15 @@ def verify_covariance(ws: WeylSystem, instr: Instrument) -> float:
     is fixed by every W and gets +0.0, the pair form's value on it, in
     O(n^5) time and O(n^4) memory. Any other gets `_pair_defect`.
     """
+    return _covariance(ws, instr)[0]
+
+
+def _covariance(ws: WeylSystem, instr: Instrument) -> tuple[float, np.ndarray]:
+    """(`verify_covariance`, the `_orbits` gather its exit tests)."""
     _require_group_instrument(ws, instr)
     on = _orbits(ws, instr)
     exact = np.count_nonzero(instr.maps.choi) == np.count_nonzero(on) and (on == on[:1]).all()
-    return 0.0 if exact else _pair_defect(ws, instr)
+    return (0.0 if exact else _pair_defect(ws, instr)), on
 
 
 def _pair_defect(ws: WeylSystem, instr: Instrument) -> float:
@@ -351,8 +359,9 @@ def reconstruct_measure(ws: WeylSystem, instr: Instrument) -> CovariantMeasure:
 
     Raises NotCovariantError if the covariance defect exceeds 1e-6.
     """
-    require_covariant(ws, instr)
-    mstack = _orbits(ws, instr).sum(axis=0) / ws.dim
+    defect, on = _covariance(ws, instr)
+    _gated(defect)
+    mstack = on.sum(axis=0) / ws.dim
     mstack = (mstack + mstack.conj().transpose(0, 2, 1)) / 2
     return CovariantMeasure(ws.group, mstack)
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylseq.cli
-from weylseq import Group, rand
-from weylseq.codec import dump, dumps, matrix_to_json, measure_to_json
+from weylseq import Group, WeylSystem, cpso_from_state, rand
+from weylseq.codec import (_as_lists, dump, dumps, matrix_from_json, matrix_to_json,
+                           measure_to_json, povm_to_json)
 
 
 def oracle(obj) -> str:
@@ -94,6 +96,69 @@ def test_unencodable_objects_raise_like_the_standard_encoder():
             dumps(obj)
 
 
+# ==================== arrays in the report tree ====================
+
+
+def complex_stack(shape, pool, seed):
+    """A complex array of the shape whose floats are drawn from pool, so
+    that bit patterns repeat; its first two floats are -0.0 and 0.0."""
+    floats = np.random.default_rng(seed).choice(np.array([-0.0, 0.0, *pool]),
+                                                size=2 * math.prod(shape))
+    floats[:2] = -0.0, 0.0
+    return floats.view(complex).reshape(shape)
+
+
+stacks = st.builds(
+    complex_stack,
+    st.lists(st.integers(1, 4), min_size=2, max_size=3).map(tuple),
+    st.lists(pair_floats, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+array_reports = st.recursive(
+    st.one_of(stacks, scalars),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=3), children, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(array_reports)
+def test_arrays_are_written_as_their_list_form(tree):
+    assert dumps(tree) == oracle(_as_lists(tree))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2)])
+def test_non_finite_arrays_are_refused_in_both_forms(bad, shape):
+    a = np.zeros(shape, dtype=complex)
+    a.flat[-1] = complex(0.5, bad)
+    for tree in (a, {"m": a}, [1.0, {"m": [a]}]):
+        with pytest.raises(ValueError) as listed:
+            oracle(_as_lists(tree))
+        with pytest.raises(ValueError) as written:
+            dumps(tree)
+        assert str(written.value) == str(listed.value) == "matrix has non-finite entries"
+
+
+def test_order_16_cpso_report_is_the_list_form_bytes(tmp_path):
+    ws = WeylSystem(Group.from_spec("16"))
+    state = tmp_path / "s.json"
+    state.write_text(json.dumps(matrix_to_json(rand.state(np.random.default_rng(16), 16))))
+    out = tmp_path / "cpso.json"
+    assert weylseq.cli.main(["cpso", "--check-ic", "--group", "16", "--state", str(state),
+                             "--out", str(out)]) == 0
+    povm = cpso_from_state(ws, matrix_from_json(json.loads(state.read_text())))
+    # the effects share floats, as Prop 4.3 says: one repr serves many entries
+    assert np.unique(povm.effects.view(np.uint64)).size < povm.effects.size
+    want = {"command": "cpso", "group": {"moduli": [16]}, "povm": povm_to_json(povm),
+            "span_dimension": 256, "informationally_complete": True}
+    assert out.read_text() == oracle(want) + "\n"
+
+
 def old_matrix_data(t):
     return [[float(z.real), float(z.imag)] for z in np.asarray(t, dtype=complex).reshape(-1)]
 
@@ -117,7 +182,7 @@ def test_matrix_to_json_equals_the_per_entry_list(rng, make):
 
 
 def oracle_dump(obj, fp):
-    fp.write(oracle(obj))
+    fp.write(oracle(_as_lists(obj)))
 
 
 def command_lines(tmp_path, spec):

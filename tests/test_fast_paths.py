@@ -368,6 +368,29 @@ def test_reconstruction_is_the_dense_projection_off_covariance(moduli, kind, rng
         assert np.abs(got - dense_reconstruct_measure(ws, mix)).max() <= 1e-15
 
 
+def gated_then_gathered(ws, instr):
+    """`reconstruct_measure`'s densities as two passes compute them: the
+    covariance gate, then a second orbit gather for the mean."""
+    instruments.require_covariant(ws, instr)
+    mstack = instruments._orbits(ws, instr).sum(axis=0) / ws.dim
+    return (mstack + mstack.conj().transpose(0, 2, 1)) / 2
+
+
+@pytest.mark.parametrize("moduli", LADDER)
+def test_reconstruction_reuses_the_gates_gather_bitwise(moduli, rng):
+    ws = WeylSystem(Group(moduli))
+    closed = covariant_instrument(ws, rand.covariant_measure(rng, ws.group))
+    swapped, _ = perturbed(ws, rng, "outcome_swap", 1e-8)  # within the gate, off the exit
+    for instr in (closed, swapped):
+        want = gated_then_gathered(ws, instr)
+        assert reconstruct_measure(ws, instr).m.view(np.uint64).tolist() == \
+            want.view(np.uint64).tolist()
+    if ws.dim > 2:  # order 2: the swap is a translation
+        far, _ = perturbed(ws, rng, "outcome_swap", 0.3)
+        with pytest.raises(NotCovariantError):
+            reconstruct_measure(ws, far)
+
+
 @settings(max_examples=25, deadline=None)
 @given(moduli=GROUPS_UP_TO_12, seed=st.integers(0, 2**32 - 1))
 def test_gathers_property(moduli, seed):

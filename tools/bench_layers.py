@@ -17,7 +17,13 @@ group of a fixed ladder, times these layers on one seeded measure:
   with the checks of every loaded map;
 * ``instrument_verify`` -- that decoding and the covariance check of the
   decoded instrument, as ``weylseq instrument verify`` runs them after
-  reading the file.
+  reading the file;
+* ``cpso_from_state`` -- the phase-space observable of one seeded state,
+  with its checks;
+* ``cpso_write`` -- the ``weylseq cpso --check-ic`` report of that
+  observable encoded to a file by the CLI's ``_emit``, the report built
+  as that CLI builds it: from the codec's private POVM layout where
+  --src has one, else from ``povm_to_json``.
 
 The two loaded layers run on the groups of order <= 20 only: the JSON
 dict of an order-24 instrument holds 8 million float pairs (its file is
@@ -30,8 +36,10 @@ each layer the script fits the exponent p of time ~ n^p (and of memory)
 by least squares over the groups of order >= 8. The entry is stored under
 --label in BENCH_layers.json at the root of this checkout, keeping the
 other labels' entries, with the git revision of --src (``git describe
---always --dirty``), so measure a commit from a clean clone of it. The
-file's ladder and layer lists are rewritten to this script's.
+--always``, and ``-dirty`` if a tracked file other than BENCH_layers.json
+differs from it), so measure a commit from a clean clone of it; one clone
+can record both labels. The file's ladder and layer lists are rewritten
+to this script's.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -52,7 +61,8 @@ ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "BENCH_layers.json"
 LADDER = ("2", "3", "4", "6", "8", "12", "16", "20", "24", "32", "2x3", "2x2x2", "3x4", "2x12")
 LAYERS = ("group_tables", "covariant_instrument", "verify_covariance", "joint_from_measure",
-          "run_sequential", "instrument_from_json", "instrument_verify")
+          "run_sequential", "instrument_from_json", "instrument_verify", "cpso_from_state",
+          "cpso_write")
 LOADED_MAX_ORDER = 20
 FIT_MIN_ORDER = 8
 SEED = 2011
@@ -91,20 +101,31 @@ def _fit(points: list) -> float | None:
 
 
 def _git_rev(src: Path) -> str | None:
+    """The revision of src's checkout; BENCH_layers.json, which this script
+    rewrites, does not make it dirty."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(src), *args], capture_output=True,
+                              text=True, check=True).stdout.strip()
+
     try:
-        out = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, check=True)
+        rev = git("describe", "--always")
+        dirty = git("status", "--porcelain", "--untracked-files=no", "--", ":/",
+                    f":(top,exclude){OUT.name}")
     except (OSError, subprocess.CalledProcessError):
         return None
-    return out.stdout.strip()
+    return rev + "-dirty" * bool(dirty)
 
 
 def measure_ladder(src: Path) -> dict:
     sys.path.insert(0, str(src))
     import numpy as np
-    from weylseq import (Group, WeylSystem, covariant_instrument, instrument_from_json,
-                         instrument_to_json, rand, run_sequential, verify_covariance)
+    from weylseq import (Group, WeylSystem, covariant_instrument, cpso_from_state,
+                         effect_span_dimension, instrument_from_json, instrument_to_json, rand,
+                         run_sequential, verify_covariance)
+    from weylseq import cli, codec
     from weylseq.sequential import joint_from_measure
+
+    povm_report = getattr(codec, "_povm_layout", codec.povm_to_json)
 
     def group_tables(moduli):
         g = Group(moduli)
@@ -114,18 +135,31 @@ def measure_ladder(src: Path) -> dict:
         group, instr = instrument_from_json(obj)
         return verify_covariance(WeylSystem(group), instr)
 
+    def cpso_write(ws, povm, span, path):
+        cli._emit({"command": "cpso", "group": ws.group.to_json(), "povm": povm_report(povm),
+                   "span_dimension": span, "informationally_complete": span == ws.dim**2},
+                  str(path))
+
     groups = {}
+    tmp = tempfile.TemporaryDirectory(prefix="bench_layers_")
     for spec in LADDER:
         group = Group.from_spec(spec)
         ws = WeylSystem(group)
-        mm = rand.covariant_measure(np.random.default_rng(SEED), group)
+        rng = np.random.default_rng(SEED)
+        mm = rand.covariant_measure(rng, group)
         instr = covariant_instrument(ws, mm)
+        state = rand.state(rng, group.order)
+        povm = cpso_from_state(ws, state)
+        span = effect_span_dimension(povm)
+        report = Path(tmp.name) / "cpso.json"
         calls = {
             "group_tables": lambda: group_tables(group.moduli),
             "covariant_instrument": lambda: covariant_instrument(ws, mm),
             "verify_covariance": lambda: verify_covariance(ws, instr),
             "joint_from_measure": lambda: joint_from_measure(ws, mm),
             "run_sequential": lambda: run_sequential(ws, mm),
+            "cpso_from_state": lambda: cpso_from_state(ws, state),
+            "cpso_write": lambda: cpso_write(ws, povm, span, report),
         }
         obj = instrument_to_json(ws, instr) if group.order <= LOADED_MAX_ORDER else None
         if obj is not None:
@@ -136,7 +170,9 @@ def measure_ladder(src: Path) -> dict:
             row[f"{layer}_s"] = float(f"{_timed(fn):.4g}")
             row[f"{layer}_peak_mib"] = round(_peak_bytes(fn) / 2**20, 3)
         groups[spec] = row
-        sys.stderr.write(f"{spec}: run_sequential {row['run_sequential_s']:.4f} s\n")
+        sys.stderr.write(f"{spec}: run_sequential {row['run_sequential_s']:.4f} s, "
+                         f"cpso_write {row['cpso_write_s']:.4f} s\n")
+    tmp.cleanup()
     exponents = {}
     for layer in LAYERS:
         for kind in ("s", "peak_mib"):

@@ -5,7 +5,9 @@
     diff parent.txt change.txt
 
 Writes its inputs to a temporary directory: a measure and a state for
-each of the groups 8, 2x3 and 2x2x2, a measure with one non-Hermitian
+each of the groups 8, 2x3 and 2x2x2, a state for each of the groups 16
+and 4x4, whose ``cpso --check-ic`` reports are the smallest of the
+benchmark's and repeat floats across effects, a measure with one non-Hermitian
 density, a Z_2 measure and state whose traces sit just inside the
 validation allowance, and a Z_8 instrument that is not covariant (the
 closed form of the Z_8 measure mixed with its copy in which outcomes 0
@@ -45,6 +47,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 GROUPS = ("8", "2x3", "2x2x2")
+CPSO_GROUPS = ("16", "4x4")
 SEED = 2011
 
 
@@ -123,6 +126,10 @@ def write_inputs(work: Path) -> None:
             ("two_defects", [8], _lowest_at(two, 2, -1e-6))]:
         _dump(work / f"{name}.json", {"group": {"moduli": moduli},
                                       "maps": [{"choi": _matrix(c)} for c in chois]})
+    rng = np.random.default_rng([SEED, len(GROUPS) + 2])
+    for spec in CPSO_GROUPS:
+        order = int(np.prod([int(d) for d in spec.split("x")]))
+        _dump(work / f"s{spec}.json", _matrix(_state(rng, order)))
 
 
 def _lowest_at(chois: np.ndarray, k: int, value: float) -> np.ndarray:
@@ -157,6 +164,9 @@ def commands() -> list:
             (f"{spec} dump-weyl", ["dump-weyl", "--group", spec], []),
         ]
     return out + [
+        *[(f"{spec} cpso", ["cpso", "--check-ic", "--group", spec, "--state", f"s{spec}.json",
+                             "--out", f"cpso{spec}.json"], [f"cpso{spec}.json"])
+          for spec in CPSO_GROUPS],
         ("demo spin", ["demo", "spin"], []),
         ("non-Hermitian density", ["sequential", "run", "--measure", "nonherm.json"], []),
         ("2 cpso scaled state", ["cpso", "--group", "2", "--state", "s2_scaled.json"], []),

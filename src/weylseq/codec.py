@@ -112,9 +112,8 @@ def _measure_layout(mm: CovariantMeasure) -> dict:
 
 
 def _as_lists(obj):
-    """A report tree in plain JSON: tuples are lists, each 2-d array is its
-    `matrix_to_json` object and each 3-d array the list of those of its
-    matrices."""
+    """The tree in plain JSON: tuples are lists, a 2-d array its
+    `matrix_to_json` object, a 3-d array the list of those of its matrices."""
     if isinstance(obj, np.ndarray) and obj.ndim in (2, 3):
         return [matrix_to_json(t) for t in obj] if obj.ndim == 3 else matrix_to_json(obj)
     if isinstance(obj, dict):
@@ -182,8 +181,9 @@ def _write(obj, newline: str, out) -> None:
     else:
         # Scalars, empty containers and arrays, dicts with non-string keys.
         # Every line break in json output is structural, so re-indenting
-        # them nests the standard encoding.
-        out(json.dumps(_as_lists(obj), indent=2).replace("\n", newline))
+        # them nests the standard encoding. A scalar takes the C encoder.
+        indent = 2 if isinstance(obj, (dict, list, tuple, np.ndarray)) else None
+        out(json.dumps(_as_lists(obj), indent=indent).replace("\n", newline))
 
 
 def _write_stack(a: np.ndarray, newline: str, out) -> None:

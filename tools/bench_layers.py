@@ -141,38 +141,37 @@ def measure_ladder(src: Path) -> dict:
                   str(path))
 
     groups = {}
-    tmp = tempfile.TemporaryDirectory(prefix="bench_layers_")
-    for spec in LADDER:
-        group = Group.from_spec(spec)
-        ws = WeylSystem(group)
-        rng = np.random.default_rng(SEED)
-        mm = rand.covariant_measure(rng, group)
-        instr = covariant_instrument(ws, mm)
-        state = rand.state(rng, group.order)
-        povm = cpso_from_state(ws, state)
-        span = effect_span_dimension(povm)
-        report = Path(tmp.name) / "cpso.json"
-        calls = {
-            "group_tables": lambda: group_tables(group.moduli),
-            "covariant_instrument": lambda: covariant_instrument(ws, mm),
-            "verify_covariance": lambda: verify_covariance(ws, instr),
-            "joint_from_measure": lambda: joint_from_measure(ws, mm),
-            "run_sequential": lambda: run_sequential(ws, mm),
-            "cpso_from_state": lambda: cpso_from_state(ws, state),
-            "cpso_write": lambda: cpso_write(ws, povm, span, report),
-        }
-        obj = instrument_to_json(ws, instr) if group.order <= LOADED_MAX_ORDER else None
-        if obj is not None:
-            calls["instrument_from_json"] = lambda: instrument_from_json(obj)
-            calls["instrument_verify"] = lambda: instrument_verify(obj)
-        row = {"order": group.order}
-        for layer, fn in calls.items():
-            row[f"{layer}_s"] = float(f"{_timed(fn):.4g}")
-            row[f"{layer}_peak_mib"] = round(_peak_bytes(fn) / 2**20, 3)
-        groups[spec] = row
-        sys.stderr.write(f"{spec}: run_sequential {row['run_sequential_s']:.4f} s, "
-                         f"cpso_write {row['cpso_write_s']:.4f} s\n")
-    tmp.cleanup()
+    with tempfile.TemporaryDirectory(prefix="bench_layers_") as tmp:
+        report = Path(tmp) / "cpso.json"
+        for spec in LADDER:
+            group = Group.from_spec(spec)
+            ws = WeylSystem(group)
+            rng = np.random.default_rng(SEED)
+            mm = rand.covariant_measure(rng, group)
+            instr = covariant_instrument(ws, mm)
+            state = rand.state(rng, group.order)
+            povm = cpso_from_state(ws, state)
+            span = effect_span_dimension(povm)
+            calls = {
+                "group_tables": lambda: group_tables(group.moduli),
+                "covariant_instrument": lambda: covariant_instrument(ws, mm),
+                "verify_covariance": lambda: verify_covariance(ws, instr),
+                "joint_from_measure": lambda: joint_from_measure(ws, mm),
+                "run_sequential": lambda: run_sequential(ws, mm),
+                "cpso_from_state": lambda: cpso_from_state(ws, state),
+                "cpso_write": lambda: cpso_write(ws, povm, span, report),
+            }
+            obj = instrument_to_json(ws, instr) if group.order <= LOADED_MAX_ORDER else None
+            if obj is not None:
+                calls["instrument_from_json"] = lambda: instrument_from_json(obj)
+                calls["instrument_verify"] = lambda: instrument_verify(obj)
+            row = {"order": group.order}
+            for layer, fn in calls.items():
+                row[f"{layer}_s"] = float(f"{_timed(fn):.4g}")
+                row[f"{layer}_peak_mib"] = round(_peak_bytes(fn) / 2**20, 3)
+            groups[spec] = row
+            sys.stderr.write(f"{spec}: run_sequential {row['run_sequential_s']:.4f} s, "
+                             f"cpso_write {row['cpso_write_s']:.4f} s\n")
     exponents = {}
     for layer in LAYERS:
         for kind in ("s", "peak_mib"):
